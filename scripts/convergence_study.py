@@ -33,9 +33,9 @@ def main():
         for st in conv:
             print(f"{problem} / {st.method}: slope = "
                   f"{'n/a' if st.slope is None else f'{st.slope:.3f}'}")
-        write_study_csv(conv, out / f"convergence_{problem}.csv", "convergence")
+        write_study_csv(conv, out / f"convergence_{problem}.csv")
         wp = run_workprecision(spec, cache)
-        write_study_csv(wp, out / f"workprecision_{problem}.csv", "work-precision")
+        write_study_csv(wp, out / f"workprecision_{problem}.csv")
     print(f"wrote studies under {out}/")
 
 

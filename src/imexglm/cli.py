@@ -18,13 +18,12 @@ from .harness import (StudySpec, build_problem, emit_stability,
                       run_convergence, run_workprecision, starter_config,
                       write_study_csv, _fmt)
 from .integrator import IntegrationError, ark_integrate, integrate
-from .methods import bundled_ark_path, resolve_method, ImexRkMethod
+from .methods import resolve_method, ImexRkMethod
 from .problems import ReferenceFailureError, l2_error, reference_solution
 from .stability import StabilityQuery, constrained_region_area, optimize_explicit_component
 from .tableau import ImexGlmMethod, save_method, validate_method
 
 USAGE_EXIT = 64
-_ARK_ALIASES = {"ark4": 4, "ark5": 5}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,12 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(USAGE_EXIT)
-
-
-def _resolve(name: str):
-    if name in _ARK_ALIASES:
-        return resolve_method(str(bundled_ark_path(_ARK_ALIASES[name])))
-    return resolve_method(name)
 
 
 def _build_parser() -> _Parser:
@@ -105,13 +98,13 @@ def _study_spec(args, require_orders=True) -> StudySpec:
     return StudySpec(problem=args.problem, methods=(args.method,),
                      steps=_parse_steps(args.steps), problem_params=params,
                      n_ref=args.n_ref, tau_ratio=args.tau_ratio,
-                     starter=args.starter, out=args.out, seed=args.seed,
+                     starter=args.starter, out=args.out,
                      require_orders=require_orders)
 
 
 def _cmd_validate(args) -> int:
     try:
-        m = _resolve(args.method)
+        m = resolve_method(args.method)
     except (ValueError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
@@ -128,7 +121,7 @@ def _cmd_validate(args) -> int:
 def _cmd_integrate(args) -> int:
     spec = _study_spec(args, require_orders=False)
     prob = build_problem(spec)
-    m = _resolve(args.method)
+    m = resolve_method(args.method)
     N = spec.steps[0]
     if isinstance(m, ImexRkMethod):
         res = ark_integrate(m, prob, N)
@@ -164,7 +157,7 @@ def _print_convergence(studies, fmt, out):
     if out and fmt == "json":
         Path(out).write_text(json.dumps(payload, indent=2, default=float) + "\n")
     elif out:
-        write_study_csv(studies, out, "convergence")
+        write_study_csv(studies, out)
 
 
 def _cmd_converge(args) -> int:
@@ -193,12 +186,12 @@ def _cmd_workprecision(args) -> int:
     if args.out and args.format == "json":
         Path(args.out).write_text(json.dumps(payload, indent=2, default=float) + "\n")
     elif args.out:
-        write_study_csv(studies, args.out, "work-precision")
+        write_study_csv(studies, args.out)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    m = _resolve(args.method)
+    m = resolve_method(args.method)
     if isinstance(m, ImexRkMethod):
         raise IntegrationError("stability export needs a GLM method")
     out_dir = Path(args.out) if args.out else Path(f"stability_{m.name}")
@@ -209,7 +202,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    m = _resolve(args.method)
+    m = resolve_method(args.method)
     if not isinstance(m, ImexGlmMethod):
         raise IntegrationError("optimizer needs a GLM method")
     # coarse query keeps a 2000-evaluation budget within minutes

@@ -1,8 +1,8 @@
 """Study orchestration: convergence tables, work-precision tables with
 phase-separated timing, and stability-region file export.
 
-All study output is deterministic for a fixed spec and seed (timing
-columns aside): rows are emitted in spec order and floats are printed
+All study output is deterministic for a fixed spec (timing columns
+aside): rows are emitted in spec order and floats are printed
 with round-trip precision.
 """
 
@@ -47,7 +47,6 @@ class StudySpec:
     tau_ratio: float = 0.5
     starter: str = "auto"          # "auto" | "imex-euler" | path to ARK file
     out: str | None = None
-    seed: int = 0
     repeats: int = 3
     require_orders: bool = True    # single-run specs may drop the 3-point rule
 
@@ -345,7 +344,7 @@ def _area_entry(name, area, alpha=None):
     return entry
 
 
-def write_study_csv(studies, out: str | None, kind: str) -> list:
+def write_study_csv(studies, out: str | None) -> list:
     """Write per-method CSVs; single-method studies use the path verbatim,
     multi-method studies append the method name to the stem."""
     written = []

@@ -7,9 +7,11 @@ through s stages
     Y_i = h sum_{j<i} a_ij f(Y_j) + h sum_{j<=i} ahat_ij g(Y_j) + sum_j u_ij y_j,
     y_i^[n] = h sum_j (b_ij f(Y_j) + bhat_ij g(Y_j)) + sum_j v_ij y_j,
 
-with f/g evaluated at t + c_i h.  Diagonally implicit stage solves share a
-single factorization of I - h*lambda*J_g whenever g is linear, since the
-diagonal is constant for this method class.
+with f/g evaluated at t + c_i h.  A linear stiff part g = J y + b(t) is
+given once, as (stiff_matrix, stiff_forcing); its diagonally implicit
+stage solves then share a single factorization of I - h*lambda*J, since
+the diagonal is constant for this method class, and each stage evaluates
+the forcing b once for both the solve and G_i = J Y_i + b.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class SemiDiscreteProblem:
-    """Split ODE system y' = f(t, y) + g(t, y), f nonstiff and g stiff."""
+    """Split ODE system y' = f(t, y) + g(t, y), f nonstiff and g stiff.
+
+    A linear stiff part g = J y + b(t) is given as stiff_matrix J (dense or
+    sparse, constant) and stiff_forcing(t) -> b(t), or None for b = 0; g and
+    g_jacobian are then built from them.  A nonlinear g is given as g and
+    g_jacobian(t, y) instead.
+    """
 
     name: str
     d: int
@@ -53,9 +61,10 @@ class SemiDiscreteProblem:
     tF: float
     y0: np.ndarray
     f: Callable[[float, np.ndarray], np.ndarray]
-    g: Callable[[float, np.ndarray], np.ndarray]
-    g_jacobian: Callable[[float, np.ndarray], object]  # dense or sparse d x d
-    g_is_linear: bool = False
+    g: Callable[[float, np.ndarray], np.ndarray] | None = None
+    g_jacobian: Callable[[float, np.ndarray], object] | None = None
+    stiff_matrix: object = None
+    stiff_forcing: Callable[[float], np.ndarray] | None = None
     exact: Callable[[float], np.ndarray] | None = None
     stiff_scale: float | None = None  # rough spectral bound of the full RHS
 
@@ -63,6 +72,17 @@ class SemiDiscreteProblem:
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.d,):
             raise ValueError(f"y0 must have shape ({self.d},)")
+        J, b = self.stiff_matrix, self.stiff_forcing
+        if J is None:
+            if self.g is None or self.g_jacobian is None or b is not None:
+                raise ValueError("give g and g_jacobian, or stiff_matrix "
+                                 "with an optional stiff_forcing")
+            return
+        if self.g is not None or self.g_jacobian is not None:
+            raise ValueError("give either stiff_matrix or g and g_jacobian, not both")
+        # plain attributes, so a caller may rebind g on the instance
+        self.g = (lambda t, y: J @ y) if b is None else (lambda t, y: J @ y + b(t))
+        self.g_jacobian = lambda t, y: J
 
     def rhs(self, t, y):
         return self.f(t, y) + self.g(t, y)
@@ -94,13 +114,10 @@ class ExternalState:
 class StageSolveConfig:
     newton_tol: float = 1e-12
     max_newton: int = 25
-    jacobian_refresh: str = "frozen-for-linear"  # | "per-stage" | "per-step"
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.max_newton < 1:
             raise ValueError("newton_tol must be > 0 and max_newton >= 1")
-        if self.jacobian_refresh not in ("frozen-for-linear", "per-stage", "per-step"):
-            raise ValueError(f"unknown refresh policy {self.jacobian_refresh!r}")
 
 
 @dataclass(frozen=True)
@@ -136,29 +153,23 @@ def imex_euler_ark() -> ImexRkMethod:
 # implicit stage solves
 
 class StiffSolverCache:
-    """Factorization reuse for stage solves.
+    """Factorization reuse for linear stage solves.
 
-    For linear g the iteration matrix I - gamma*J_g is constant in time, so
+    For linear g the iteration matrix I - gamma*J is constant in time, so
     one factorization per distinct gamma = h*ahat_ii serves every stage of
     every step (the DIMSIM diagonal is constant, giving a single gamma per
-    run).  Dense Jacobians go through LAPACK LU, sparse ones through
+    run).  Dense matrices go through LAPACK LU, sparse ones through
     SuperLU.
     """
 
     def __init__(self, prob: SemiDiscreteProblem):
         self.prob = prob
         self._fact = {}
-        self._J = None
-
-    def linear_jacobian(self):
-        if self._J is None:
-            self._J = self.prob.g_jacobian(self.prob.t0, self.prob.y0)
-        return self._J
 
     def factorization(self, gamma: float):
         key = float(gamma)
         if key not in self._fact:
-            self._fact[key] = _factorize(self.linear_jacobian(), gamma, self.prob.d)
+            self._fact[key] = _factorize(self.prob.stiff_matrix, gamma, self.prob.d)
         return self._fact[key]
 
 
@@ -166,7 +177,9 @@ def _factorize(J, gamma: float, d: int):
     if sparse.issparse(J):
         M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
         try:
-            lu = splu(M)
+            # minimum degree on A^T + A suits the structurally symmetric
+            # stencils better than the default COLAMD
+            lu = splu(M, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
         return lu.solve
@@ -178,32 +191,35 @@ def _factorize(J, gamma: float, d: int):
     return lambda rhs: lu_solve(fact, rhs)
 
 
-def _implicit_solve(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
-                    stage_index=None):
-    """Solve Y = rhs + gamma * g(t_stage, Y) to the configured tolerance."""
-    if gamma == 0.0:
-        return rhs
-    if not np.isfinite(rhs).all():
-        raise StageSolveError("non-finite stage right-hand side",
-                              stage=stage_index)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    tol = cfg.newton_tol * scale
+def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
+           stage_index=None):
+    """Solve Y = rhs + gamma * g(t_stage, Y); return (Y, g(t_stage, Y)).
 
-    if prob.g_is_linear and cfg.jacobian_refresh != "per-stage":
-        solve = cache.factorization(gamma)
-        offset = prob.g(t_stage, np.zeros(prob.d))  # g(t, y) = J y + offset
-        Y = solve(rhs + gamma * offset)
-        return np.asarray(Y)
-    if prob.g_is_linear:
-        # per-stage policy: rebuild the (identical) factorization each time
-        solve = _factorize(prob.g_jacobian(t_stage, rhs), gamma, prob.d)
-        offset = prob.g(t_stage, np.zeros(prob.d))
-        return np.asarray(solve(rhs + gamma * offset))
+    For linear g = J y + b the forcing b is evaluated once and serves both
+    the solve and the stage value J Y + b."""
+    J, forcing = prob.stiff_matrix, prob.stiff_forcing
+    b = None if J is None or forcing is None else forcing(t_stage)
+    if gamma != 0.0:
+        if not np.isfinite(rhs).all():
+            raise StageSolveError("non-finite stage right-hand side",
+                                  stage=stage_index)
+        if J is None:
+            rhs = _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor,
+                                stage_index)
+        else:
+            solve = cache.factorization(gamma)
+            rhs = np.asarray(solve(rhs if b is None else rhs + gamma * b))
+    if J is None:
+        return rhs, prob.g(t_stage, rhs)
+    G = J @ rhs
+    return rhs, (G if b is None else G + b)
 
-    # nonlinear g: modified Newton with J frozen at the stage predictor
+
+def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
+    """Modified Newton for nonlinear g, J frozen at the stage predictor."""
+    tol = cfg.newton_tol * max(1.0, float(np.linalg.norm(rhs)))
     y = np.array(rhs if predictor is None else predictor, dtype=float)
-    J = prob.g_jacobian(t_stage, y)
-    solve = _factorize(J, gamma, prob.d)
+    solve = _factorize(prob.g_jacobian(t_stage, y), gamma, prob.d)
     res_norm = np.inf
     for _ in range(cfg.max_newton):
         res = y - gamma * prob.g(t_stage, y) - rhs
@@ -225,12 +241,10 @@ def solve_stage(i, rhs, m: ImexGlmMethod, prob, t, h,
                 cache: StiffSolverCache | None = None,
                 predictor=None):
     """Stage solve Y_i = rhs + h*ahat_ii * g(t + c_i h, Y_i)."""
-    cfg = cfg or StageSolveConfig()
-    cache = cache or StiffSolverCache(prob)
     gamma = h * float(m.Ahat[i, i])
-    t_stage = t + float(m.c[i]) * h
-    return _implicit_solve(gamma, rhs, prob, t_stage, cfg, cache,
-                           predictor=predictor, stage_index=i)
+    return _stage(gamma, rhs, prob, t + float(m.c[i]) * h,
+                  cfg or StageSolveConfig(), cache or StiffSolverCache(prob),
+                  predictor=predictor, stage_index=i)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +267,10 @@ def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem, state: ExternalState,
     Y = state.blocks[0]
     for i in range(s):
         rhs = Uy[i] + h * (A[i, :i] @ F[:i] + Ah[i, :i] @ G[:i])
-        Y = solve_stage(i, rhs, m, prob, t, h, cfg, cache, predictor=Y)
         t_i = t + float(m.c[i]) * h
+        Y, G[i] = _stage(h * float(Ah[i, i]), rhs, prob, t_i, cfg, cache,
+                         predictor=Y, stage_index=i)
         F[i] = prob.f(t_i, Y)
-        G[i] = prob.g(t_i, Y)
 
     new_blocks = h * (m.B @ F + m.Bhat @ G) + m.explicit.V @ state.blocks
     if not np.isfinite(new_blocks).all():
@@ -414,10 +428,9 @@ def ark_step(mrk: ImexRkMethod, prob: SemiDiscreteProblem, y, t, h,
     for i in range(sig):
         rhs = y + h * (Ae[i, :i] @ F[:i] + Ai[i, :i] @ G[:i])
         t_i = t + float(mrk.c[i]) * h
-        Y = _implicit_solve(h * float(Ai[i, i]), rhs, prob, t_i, cfg, cache,
-                            predictor=Y, stage_index=i)
+        Y, G[i] = _stage(h * float(Ai[i, i]), rhs, prob, t_i, cfg, cache,
+                         predictor=Y, stage_index=i)
         F[i] = prob.f(t_i, Y)
-        G[i] = prob.g(t_i, Y)
     out = y + h * (mrk.b_explicit @ F + mrk.b_implicit @ G)
     if not np.isfinite(out).all():
         raise IntegrationError(f"non-finite additive-RK update at t={t}")

@@ -272,15 +272,20 @@ BUILTIN_METHODS = {
 }
 
 
+_ARK_ALIASES = {"ark4": 4, "ark5": 5}
+
+
 def resolve_method(spec: str):
     """Map a CLI method spec to a method object.
 
-    Accepts a builtin name (dimsim4, dimsim5, imex-euler) or a path to a
-    JSON file; files with a `sigma` field load as additive RK pairs, all
-    others as GLM pairs.
+    Accepts a builtin name (dimsim4, dimsim5, imex-euler), an alias of a
+    bundled ARK comparator (ark4, ark5) or a path to a JSON file; files
+    with a `sigma` field load as additive RK pairs, all others as GLM pairs.
     """
     if spec in BUILTIN_METHODS:
         return BUILTIN_METHODS[spec]()
+    if spec in _ARK_ALIASES:
+        return load_ark_method(bundled_ark_path(_ARK_ALIASES[spec]))
     path = Path(spec)
     if not path.exists():
         raise MethodFileError(

@@ -31,11 +31,6 @@ from .tableau import (
     starting_weight_matrix,
 )
 
-# Region areas can be quoted as the upper-half trapezoid sum or as the
-# symmetric total; the reference values for the built-in pairs follow the
-# doubled (total) convention, fixed here after a one-time calibration.
-AREA_CONVENTION = "total"
-
 DEFAULT_STIFF_MAGNITUDES = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 
 
@@ -214,7 +209,7 @@ class RegionBoundary:
 
 @dataclass
 class AreaResult:
-    area: float             # value under the project-wide AREA_CONVENTION
+    area: float             # area_total: both half-planes, by symmetry
     area_upper: float
     area_total: float
     x_b: float
@@ -303,8 +298,7 @@ def constrained_region_area(m: ImexGlmMethod,
         return res, boundary
     upper = float(np.trapezoid(boundary.ys, boundary.xs))
     total = 2.0 * upper
-    area = total if AREA_CONVENTION == "total" else upper
-    res = AreaResult(area, upper, total, boundary.x_b, alpha, component,
+    res = AreaResult(total, upper, total, boundary.x_b, alpha, component,
                      flagged_empty=False, unbounded=boundary.unbounded)
     return res, boundary
 

@@ -242,9 +242,7 @@ def test_criterion_7_starting_exactness(dimsim4, dimsim5, capsys):
             prob = SemiDiscreteProblem(
                 name="poly", d=1, t0=0.0, tF=1.0, y0=np.array([0.8]),
                 f=lambda t, y, pf=pf: np.array([pf(t)]),
-                g=lambda t, y: np.zeros(1),
-                g_jacobian=lambda t, y: np.zeros((1, 1)),
-                g_is_linear=True)
+                stiff_matrix=np.zeros((1, 1)))
             state = initialize_external(m, prob, h)
             for i in range(r):
                 want = 0.8 + sum(h ** k * m.Q[i, k] * pf.deriv(k - 1)(0.0)

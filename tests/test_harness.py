@@ -88,6 +88,13 @@ class TestConvergence:
         assert a[0] == "N,h,error,pairwise_order"
         assert len(a) == 1 + len(spec.steps)
 
+    def test_ark_alias_runs(self):
+        (study,) = run_convergence(dahlquist_spec(methods=("ark4",),
+                                                  steps=(10, 20, 40)))
+        assert study.method == "ark4"
+        assert all(r.failure is None for r in study.rows)
+        assert 3.5 < study.slope < 4.6
+
     def test_reference_computed_once_per_problem(self, monkeypatch):
         calls = {"n": 0}
         real = harness.reference_solution
@@ -197,8 +204,7 @@ class TestWriteStudyCsv:
 
     def test_single_study_uses_path_verbatim(self, tmp_path):
         out = tmp_path / "conv.csv"
-        written = write_study_csv([self.fake_study("dimsim4")], str(out),
-                                  "convergence")
+        written = write_study_csv([self.fake_study("dimsim4")], str(out))
         assert written == [out]
         assert out.read_text() == "N,h,error,pairwise_order\n"
 
@@ -206,13 +212,12 @@ class TestWriteStudyCsv:
         out = tmp_path / "conv.csv"
         written = write_study_csv(
             [self.fake_study("dimsim4"), self.fake_study("imex-euler")],
-            str(out), "convergence")
+            str(out))
         assert [p.name for p in written] == ["conv_dimsim4.csv",
                                              "conv_imex-euler.csv"]
 
     def test_none_out_writes_nothing(self):
-        assert write_study_csv([self.fake_study("dimsim4")], None,
-                               "convergence") == []
+        assert write_study_csv([self.fake_study("dimsim4")], None) == []
 
 
 class TestCli:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imexglm.integrator as integrator
 from imexglm.integrator import (ExternalState, IntegrationError,
                                 SemiDiscreteProblem, StageSolveConfig,
                                 StageSolveError, StartingConfig,
@@ -10,7 +11,8 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 glm_step, imex_euler_ark, initialize_external,
                                 integrate, rescaling_matrix, solve_stage)
 from imexglm.methods import ImexRkMethod, bundled_ark_path
-from imexglm.problems import dahlquist_split_problem
+from imexglm.problems import (allen_cahn_benchmark, dahlquist_split_problem,
+                              five_point_laplacian, laplacian_boundary)
 from imexglm.stability import imex_stability_matrix
 
 
@@ -23,9 +25,8 @@ def quadrature_problem(fcoef, gcoef, t0=0.0, tF=1.0):
         name="quadrature", d=1, t0=t0, tF=tF,
         y0=np.array([anti(t0)]),
         f=lambda t, y: np.array([pf(t)]),
-        g=lambda t, y: np.array([pg(t)]),
-        g_jacobian=lambda t, y: np.zeros((1, 1)),
-        g_is_linear=True,
+        stiff_matrix=np.zeros((1, 1)),
+        stiff_forcing=lambda t: np.array([pg(t)]),
         exact=lambda t: np.array([anti(t)]),
     ), pf, pg
 
@@ -163,14 +164,57 @@ class TestStepLinearity:
 
 
 class TestStageSolves:
-    def test_factorization_reuse_is_bitwise(self, dimsim4):
+    def test_one_factorization_per_distinct_gamma(self, dimsim4, monkeypatch):
+        # dimsim4 stages share gamma = h*lambda; the IMEX Euler starter adds
+        # its micro-step tau as the only other value
+        calls = []
+        real = integrator._factorize
+
+        def counted(J, gamma, d):
+            calls.append(gamma)
+            return real(J, gamma, d)
+
+        monkeypatch.setattr(integrator, "_factorize", counted)
         prob = dahlquist_split_problem(-0.5, -8.0)
-        res_frozen = integrate(dimsim4, prob, 20,
-                               cfg=StageSolveConfig())
-        res_fresh = integrate(dimsim4, prob, 20,
-                              cfg=StageSolveConfig(jacobian_refresh="per-stage"))
-        assert np.array_equal(res_frozen.y, res_fresh.y)
-        assert np.array_equal(res_frozen.state.blocks, res_fresh.state.blocks)
+        for _ in range(2):          # the cache lives for one integrate call
+            calls.clear()
+            res = integrate(dimsim4, prob, 20)
+            assert sorted(calls) == sorted([res.h * dimsim4.lam, 0.5 * res.h])
+
+    def test_affine_stage_evaluates_forcing_once(self, dimsim4, monkeypatch):
+        bench = allen_cahn_benchmark(n=8)
+        prob, grid = bench.problem, bench.grid
+        forcing, g = prob.stiff_forcing, prob.g
+        forcing_times, zero_probes, stages = [], [], []
+
+        def counted_forcing(t):
+            forcing_times.append(t)
+            return forcing(t)
+
+        def counted_g(t, y):
+            if not y.any():
+                zero_probes.append(t)
+            return g(t, y)
+
+        def recorded_stage(*args, **kwargs):
+            Y, G = real_stage(*args, **kwargs)
+            stages.append((args[3], Y.copy(), G.copy()))
+            return Y, G
+
+        prob.stiff_forcing, prob.g = counted_forcing, counted_g
+        state = initialize_external(dimsim4, prob, 0.01)
+        forcing_times.clear()
+        real_stage = integrator._stage
+        monkeypatch.setattr(integrator, "_stage", recorded_stage)
+        glm_step(dimsim4, prob, state)
+        # every dimsim4 stage is implicit: one forcing call each, no probe
+        assert forcing_times == [0.01 * c for c in dimsim4.c]
+        assert zero_probes == []
+        L = five_point_laplacian(grid)
+        for t_i, Y, G in stages:
+            for want in (g(t_i, Y), 0.01 * (L @ Y + laplacian_boundary(
+                    grid, bench.boundary_value, t_i))):
+                assert np.linalg.norm(G - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_newton_residual_contract(self, dimsim4):
         # stiff nonlinear g: the returned stage satisfies the implicit
@@ -219,7 +263,27 @@ class TestStageSolves:
         with pytest.raises(ValueError):
             StageSolveConfig(newton_tol=0.0)
         with pytest.raises(ValueError):
-            StageSolveConfig(jacobian_refresh="sometimes")
+            StageSolveConfig(max_newton=0)
+
+    def test_stiff_part_described_once(self):
+        base = dict(name="p", d=1, t0=0.0, tF=1.0, y0=np.zeros(1),
+                    f=lambda t, y: y)
+        with pytest.raises(ValueError, match="not both"):
+            SemiDiscreteProblem(**base, stiff_matrix=np.eye(1),
+                                g=lambda t, y: y,
+                                g_jacobian=lambda t, y: np.eye(1))
+        with pytest.raises(ValueError):
+            SemiDiscreteProblem(**base)
+        with pytest.raises(ValueError):
+            SemiDiscreteProblem(**base, g=lambda t, y: y)
+        with pytest.raises(ValueError):
+            SemiDiscreteProblem(**base, g=lambda t, y: y,
+                                g_jacobian=lambda t, y: np.eye(1),
+                                stiff_forcing=lambda t: np.ones(1))
+        prob = SemiDiscreteProblem(**base, stiff_matrix=np.array([[-2.0]]),
+                                   stiff_forcing=lambda t: np.array([t]))
+        assert prob.g(3.0, np.array([1.5])) == pytest.approx([0.0])
+        assert np.array_equal(prob.g_jacobian(0.0, prob.y0), [[-2.0]])
 
 
 class TestFailurePropagation:
@@ -227,9 +291,7 @@ class TestFailurePropagation:
         prob = SemiDiscreteProblem(
             name="blowup", d=1, t0=0.0, tF=2.0, y0=np.array([1.0]),
             f=lambda t, y: y ** 2,
-            g=lambda t, y: np.zeros(1),
-            g_jacobian=lambda t, y: np.zeros((1, 1)),
-            g_is_linear=True,
+            stiff_matrix=np.zeros((1, 1)),
         )
         with pytest.raises(IntegrationError, match=r"step \d+/\d+"):
             integrate(dimsim4, prob, 50)
@@ -264,9 +326,7 @@ class TestArkStepper:
         prob = SemiDiscreteProblem(
             name="nl", d=1, t0=0.0, tF=1.0, y0=np.array([0.8]),
             f=lambda t, y: np.sin(t) - y ** 2,
-            g=lambda t, y: np.zeros(1),
-            g_jacobian=lambda t, y: np.zeros((1, 1)),
-            g_is_linear=True,
+            stiff_matrix=np.zeros((1, 1)),
         )
         y, t, h = np.array([0.8]), 0.3, 0.05
         out = ark_step(classical_rk4(), prob, y, t, h)

@@ -106,6 +106,11 @@ class TestResolveMethod:
         m = resolve_method(str(bundled_ark_path(5)))
         assert isinstance(m, ImexRkMethod)
 
+    def test_ark_aliases(self):
+        m = resolve_method("ark4")
+        assert isinstance(m, ImexRkMethod) and m.sigma == 6
+        assert resolve_method("ark5").sigma == 8
+
     def test_glm_file_dispatch(self, tmp_path):
         path = tmp_path / "euler.json"
         save_method(builtin_imex_euler(), path)

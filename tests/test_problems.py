@@ -32,6 +32,25 @@ class TestGrid2D:
                          for x in g.coords for y in g.coords])
         assert np.array_equal(got, want)
 
+    def test_evaluate_bitwise_matches_meshgrid(self):
+        # broadcasting x as a column and y as a row gives the same bits as
+        # evaluating on the flattened meshgrid
+        u_ac, source = _allen_cahn_fields(0.01, 3.0)
+        bench = burgers_benchmark(n=50)
+        cases = [(Grid2D(40), u_ac), (Grid2D(40), source),
+                 (bench.grid, bench.boundary_value)]
+        for grid, fn in cases:
+            for t in (0.0, 0.137, 0.5):
+                got = grid.evaluate(fn, t)
+                assert got.shape == (grid.m,) and got.flags.writeable
+                assert np.array_equal(got, fn(t, grid.X, grid.Y))
+
+    def test_evaluate_constant_field_has_full_shape(self):
+        g = Grid2D(6)
+        got = g.evaluate(lambda t, x, y: 2.5, 0.0)
+        assert got.shape == (g.m,) and np.all(got == 2.5)
+        assert np.array_equal(g.evaluate(lambda t, x, y: x, 0.0), g.X)
+
     def test_node_rows(self):
         g = Grid2D(4)
         rows = list(g.node_rows(np.arange(9.0)))
