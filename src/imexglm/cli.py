@@ -69,9 +69,7 @@ def _build_parser() -> _Parser:
            problem=True, steps=True)
     common(sub.add_parser("work-precision", help="timed accuracy study"),
            problem=True, steps=True)
-    sp = sub.add_parser("stability", help="export stability-region files")
-    common(sp)
-    sp.add_argument("--workers", type=int, default=None)
+    common(sub.add_parser("stability", help="export stability-region files"))
     sp = sub.add_parser("optimize-explicit",
                         help="search explicit coefficients for pair area")
     common(sp)
@@ -195,7 +193,7 @@ def _cmd_stability(args) -> int:
     if isinstance(m, ImexRkMethod):
         raise IntegrationError("stability export needs a GLM method")
     out_dir = Path(args.out) if args.out else Path(f"stability_{m.name}")
-    report = emit_stability(m, StabilityQuery(), out_dir, workers=args.workers)
+    report = emit_stability(m, StabilityQuery(), out_dir)
     print(json.dumps(report, indent=2, default=float))
     print(f"# files written to {out_dir}", file=sys.stderr)
     return 0

@@ -283,8 +283,7 @@ def _boundary_csv_lines(boundary, with_alpha=None):
         yield row
 
 
-def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir,
-                   workers: int | None = None) -> dict:
+def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir) -> dict:
     """Write the stability files for one method into out_dir:
 
     s.csv       explicit-component region boundary
@@ -297,29 +296,20 @@ def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
     report = {"method": m.name, "convention": "total",
               "explicit": None, "implicit": None, "pair": []}
 
-    area, boundary = constrained_region_area(m, query, component="explicit",
-                                             workers=workers)
+    area, boundary = constrained_region_area(m, query, component="explicit")
     report["explicit"] = _area_entry(m.name, area)
     (out_dir / "s.csv").write_text("\n".join(_boundary_csv_lines(boundary)) + "\n")
 
-    area_i, boundary_i = constrained_region_area(m, query, component="implicit",
-                                                 workers=workers)
+    area_i, boundary_i = constrained_region_area(m, query, component="implicit")
     report["implicit"] = _area_entry(m.name, area_i)
     (out_dir / "shat.csv").write_text("\n".join(_boundary_csv_lines(boundary_i)) + "\n")
 
     pair_lines = []
     for k, alpha in enumerate(STABILITY_ALPHAS):
-        q = StabilityQuery(stiff_magnitudes=query.stiff_magnitudes,
-                           n_angles=query.n_angles, alpha=alpha,
-                           tol=query.tol, y_top=query.y_top,
-                           n_lines=query.n_lines)
-        area_p, boundary_p = constrained_region_area(m, q, component="pair",
-                                                     workers=workers)
+        area_p, boundary_p = constrained_region_area(m, query, alpha=alpha)
         report["pair"].append(_area_entry(m.name, area_p, alpha=alpha))
         lines = _boundary_csv_lines(boundary_p, with_alpha=alpha)
         if k > 0:
@@ -336,7 +326,9 @@ def _area_entry(name, area, alpha=None):
              "alpha": None if alpha is None else float(alpha),
              "x_b": float(area.x_b),
              "area_upper": float(area.area_upper),
-             "area_total": float(area.area_total)}
+             "area_total": float(area.area_total),
+             "decisions": area.decisions, "matrices": area.matrices,
+             "singular": area.singular}
     if area.flagged_empty:
         entry["flagged_empty"] = True
     if area.unbounded:

@@ -126,13 +126,10 @@ class StartingConfig:
     r-1 micro-solutions.  scheme is 'imex-euler', an ImexRkMethod, or a
     path to an ARK coefficient file."""
 
-    tau: float | None = None           # absolute micro-step; None defers
     tau_ratio: float | None = None     # tau as a fraction of h; None: 1/2
     scheme: object = "imex-euler"
 
     def resolve_tau(self, h: float) -> float:
-        if self.tau is not None:
-            return float(self.tau)
         ratio = 0.5 if self.tau_ratio is None else float(self.tau_ratio)
         return ratio * h
 

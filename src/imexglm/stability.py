@@ -9,15 +9,20 @@ and a nonstiff value w belongs to the constrained region S_alpha when
 rho(M(w, what)) < 1 for every stiff value what in a sector of half-angle
 alpha around the negative real axis.  Sector membership is probed on a
 finite grid of magnitudes and angles (StabilityQuery); region boundaries
-are traced by bisection in the upper half-plane and areas by the
-trapezoidal rule, doubled by conjugation symmetry.
+are traced by bisection on vertical lines in the upper half-plane and
+areas by the trapezoidal rule, doubled by conjugation symmetry.
+
+All lines are bisected in lockstep: each level makes one batched decision
+over lines x stiff points.  rho(M) < 1 is decided without eigenvalues, by
+the Schur-Cohn test on the characteristic polynomial of each stacked M;
+points where I - wA - what*Ahat is singular count as unstable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -82,13 +87,10 @@ def glm_stability_matrix(t: GlmTableau, z: complex) -> np.ndarray:
 
 def imex_stability_matrix(m: ImexGlmMethod, w: complex, what: complex) -> np.ndarray:
     """M(w, what) = V + (wB + what*Bhat)(I - wA - what*Ahat)^{-1} U."""
-    s = m.s
     try:
-        X = np.linalg.solve(np.eye(s) - w * m.A - what * m.Ahat,
-                            m.explicit.U.astype(complex))
+        return _pair_matrices_batch(m, w, [what])[0]
     except np.linalg.LinAlgError as exc:
         raise SingularStabilityError(f"I - wA - what*Ahat singular at ({w}, {what})") from exc
-    return m.explicit.V + (w * m.B + what * m.Bhat) @ X
 
 
 def spectral_radius(M) -> float:
@@ -100,14 +102,16 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _pair_matrices_batch(m: ImexGlmMethod, w: complex, whats: np.ndarray) -> np.ndarray:
-    """Stacked M(w, what) over an array of stiff values, one LAPACK call."""
+def _pair_matrices_batch(m: ImexGlmMethod, w, whats: np.ndarray) -> np.ndarray:
+    """Stacked M(w, what) over the stiff values, one LAPACK call: shape
+    (P, r, r) for a scalar w, (L, P, r, r) for w of shape (L,)."""
     s, r = m.s, m.r
-    whats = np.asarray(whats, dtype=complex).ravel()
-    lhs = np.eye(s) - w * m.A - whats[:, None, None] * m.Ahat
-    rhs = np.broadcast_to(m.explicit.U.astype(complex), (whats.size, s, r))
+    w = np.asarray(w, dtype=complex)[..., None, None, None]
+    whats = np.asarray(whats, dtype=complex).ravel()[:, None, None]
+    lhs = np.eye(s) - w * m.A - whats * m.Ahat
+    rhs = np.broadcast_to(m.explicit.U.astype(complex), lhs.shape[:-1] + (r,))
     X = np.linalg.solve(lhs, rhs)
-    W = w * m.B + whats[:, None, None] * m.Bhat
+    W = w * m.B + whats * m.Bhat
     return m.explicit.V + W @ X
 
 
@@ -115,7 +119,7 @@ def max_rho_over_stiff_grid(m: ImexGlmMethod, w: complex,
                             q: StabilityQuery | None = None,
                             alpha: float | None = None,
                             return_detail: bool = False):
-    """max over the stiff grid of rho(M(w, what)).
+    """max over the stiff grid of rho(M(w, what)), by eigenvalues.
 
     Singular grid points count as unstable (rho = +inf) and are tallied;
     pass return_detail=True to also get that tally.
@@ -143,22 +147,102 @@ def max_rho_over_stiff_grid(m: ImexGlmMethod, w: complex,
     return worst
 
 
-def _membership(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
-                component: str) -> Callable[[complex], bool]:
-    """Stability indicator for the coupled region or a pure component."""
+def _charpoly(M: np.ndarray) -> np.ndarray:
+    """Coefficients of det(zI - M), highest degree first, for each matrix
+    of a stack (..., r, r): Newton's identities on the power sums tr(M^k),
+    with tr(XY) = sum(X * Y^T) so only M^2 .. M^ceil(r/2) are formed."""
+    r = M.shape[-1]
+    powers = [M]
+    while len(powers) < (r + 1) // 2:
+        powers.append(powers[-1] @ M)
+    sums = [np.trace(M, axis1=-2, axis2=-1)]
+    for k in range(2, r + 1):
+        X, Y = powers[(k + 1) // 2 - 1], powers[k // 2 - 1]
+        sums.append((X * np.swapaxes(Y, -1, -2)).sum(axis=(-2, -1)))
+    coef = [np.ones_like(sums[0])]
+    for k in range(1, r + 1):
+        coef.append(-sum(coef[j] * sums[k - 1 - j] for j in range(k)) / k)
+    return np.stack(coef, axis=-1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
+    """rho(M) < 1 for each matrix of a stack (..., r, r).
+
+    The Schur-Cohn reduction p <- (conj(a_n) p - a_0 p*) / z of the
+    characteristic polynomial keeps every zero in the open unit disk iff
+    |a_n| > |a_0| at each of its r steps (Marden, Geometry of Polynomials,
+    1966; Miller 1971).
+    """
+    a = _charpoly(M)
+    stable = np.ones(a.shape[:-1], dtype=bool)
+    for _ in range(M.shape[-1]):
+        lead, const = a[..., :1], a[..., -1:]
+        stable &= np.abs(lead[..., 0]) > np.abs(const[..., 0])
+        a = (lead.conj() * a - const * a[..., ::-1].conj())[..., :-1]
+    return stable
+
+
+def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
+                       component: str):
+    """Batched membership test for the coupled region or a pure component.
+
+    Returns (inside, counts): inside(ws) -> bool[L] decides rho(M) < 1 at
+    every stiff grid point for all L values ws in one call.  The explicit
+    component is M(w, 0) and the implicit one M(0, z), the matrices of
+    glm_stability_matrix since the pair shares (U, V, c).  A singular
+    I - wA - what*Ahat is retried per w, then per point; singular points
+    count as unstable.  counts tallies calls, matrices and singular points.
+    """
     if component == "pair":
-        return lambda w: max_rho_over_stiff_grid(m, w, q, alpha) < 1.0
-    if component in ("explicit", "implicit"):
-        t = m.explicit if component == "explicit" else m.implicit
+        grid = q.stiff_grid(alpha)
+    elif component in ("explicit", "implicit"):
+        grid = np.zeros(1, dtype=complex)
+    else:
+        raise ValueError(f"unknown region component {component!r}")
+    counts = {"decisions": 0, "matrices": 0, "singular": 0}
 
-        def inside(z: complex) -> bool:
-            try:
-                return spectral_radius(glm_stability_matrix(t, z)) < 1.0
-            except SingularStabilityError:
-                return False
+    def decide(ws: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        try:
+            if component == "implicit":
+                Ms = _pair_matrices_batch(m, pts, ws).swapaxes(0, 1)
+            else:
+                Ms = _pair_matrices_batch(m, ws, pts)
+            return _schur_cohn_stable(Ms).all(axis=-1)
+        except np.linalg.LinAlgError:
+            if ws.size > 1:
+                return np.concatenate([decide(ws[i:i + 1], pts)
+                                       for i in range(ws.size)])
+            if pts.size > 1:
+                return np.array([all([decide(ws, pts[k:k + 1])[0]
+                                      for k in range(pts.size)])])
+            counts["singular"] += 1
+            return np.zeros(1, dtype=bool)
 
-        return inside
-    raise ValueError(f"unknown region component {component!r}")
+    def inside(ws) -> np.ndarray:
+        ws = np.asarray(ws, dtype=complex)
+        counts["decisions"] += 1
+        counts["matrices"] += ws.size * grid.size
+        return decide(ws, grid)
+
+    return inside, counts
+
+
+def _bisect_lines(inside, xs: np.ndarray, q: StabilityQuery):
+    """boundary_intersection for every x of xs, one decision per level
+    over the lines still active.  Returns (y_bot, x inside) per line."""
+    start = inside(xs.astype(complex))
+    bot = np.zeros_like(xs)
+    top = np.full_like(xs, q.y_top)
+    active = start & (top - bot > q.tol)
+    while active.any():
+        idx = np.flatnonzero(active)
+        mid = 0.5 * (bot[idx] + top[idx])
+        ok = inside(xs[idx] + 1j * mid)
+        bot[idx[ok]] = mid[ok]
+        top[idx[~ok]] = mid[~ok]
+        active[idx] = top[idx] - bot[idx] > q.tol
+    return bot, start
 
 
 class Intersection(NamedTuple):
@@ -178,17 +262,9 @@ def boundary_intersection(m: ImexGlmMethod, x: float,
     """
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
-    inside = _membership(m, q, alpha, component)
-    if not inside(complex(x, 0.0)):
-        return Intersection(0.0, False)
-    y_bot, y_top = 0.0, q.y_top
-    while y_top - y_bot > q.tol:
-        y_mid = 0.5 * (y_bot + y_top)
-        if inside(complex(x, y_mid)):
-            y_bot = y_mid
-        else:
-            y_top = y_mid
-    return Intersection(y_bot, True)
+    inside, _ = _stability_decider(m, q, alpha, component)
+    ys, start = _bisect_lines(inside, np.array([float(x)]), q)
+    return Intersection(float(ys[0]), bool(start[0]))
 
 
 @dataclass
@@ -201,6 +277,7 @@ class RegionBoundary:
     alpha: float
     component: str = "pair"
     unbounded: bool = False
+    counts: dict = field(default_factory=dict)   # see AreaResult
 
     def mirrored(self) -> np.ndarray:
         """(x, y_upper, y_lower) rows, lower half by conjugation symmetry."""
@@ -217,10 +294,12 @@ class AreaResult:
     component: str = "pair"
     flagged_empty: bool = False
     unbounded: bool = False
+    decisions: int = 0      # batched rho < 1 decisions
+    matrices: int = 0       # stability matrices decided
+    singular: int = 0       # singular points met (counted unstable)
 
 
-def _leftmost_crossing(inside: Callable[[complex], bool], tol: float,
-                       x_cap: float):
+def _leftmost_crossing(inside, tol: float, x_cap: float):
     """Leftmost real-axis point of the region, bisected to tol.
 
     Returns (x_b, unbounded) or None when no inside seed exists near the
@@ -230,20 +309,20 @@ def _leftmost_crossing(inside: Callable[[complex], bool], tol: float,
     a = None
     x = -tol
     while x >= -x_cap:
-        if inside(complex(x, 0.0)):
+        if inside([x])[0]:
             a = x
             break
         x *= 4.0
     if a is None:
         return None
     b = a
-    while inside(complex(b, 0.0)):
+    while inside([b])[0]:
         b *= 2.0
         if b <= -x_cap:
             return -x_cap, True
     while a - b > tol:
         mid = 0.5 * (a + b)
-        if inside(complex(mid, 0.0)):
+        if inside([mid])[0]:
             a = mid
         else:
             b = mid
@@ -253,29 +332,19 @@ def _leftmost_crossing(inside: Callable[[complex], bool], tol: float,
 def region_boundary_points(m: ImexGlmMethod,
                            q: StabilityQuery | None = None,
                            alpha: float | None = None,
-                           component: str = "pair",
-                           workers: int = 1) -> RegionBoundary:
+                           component: str = "pair") -> RegionBoundary:
     """Trace the upper boundary on n_lines vertical lines in [x_b, 0]."""
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
-    inside = _membership(m, q, alpha, component)
+    inside, counts = _stability_decider(m, q, alpha, component)
     found = _leftmost_crossing(inside, q.tol, x_cap=4.0 * q.y_top)
     if found is None:
         return RegionBoundary(np.array([0.0]), np.array([0.0]), 0.0, alpha,
-                              component, unbounded=False)
+                              component, unbounded=False, counts=counts)
     x_b, unbounded = found
     xs = np.linspace(x_b, 0.0, q.n_lines)
-
-    def line(x: float) -> float:
-        return boundary_intersection(m, x, q, alpha, component).y
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ys = np.array(list(pool.map(line, xs)))
-    else:
-        ys = np.array([line(x) for x in xs])
-    return RegionBoundary(xs, ys, x_b, alpha, component, unbounded)
+    ys, _ = _bisect_lines(inside, xs, q)
+    return RegionBoundary(xs, ys, x_b, alpha, component, unbounded, counts)
 
 
 def constrained_region_area(m: ImexGlmMethod,
@@ -287,19 +356,18 @@ def constrained_region_area(m: ImexGlmMethod,
 
     The boundary is sampled on n_lines vertical lines between the leftmost
     real-axis crossing x_b and the origin; the upper-half trapezoid sum is
-    reported alongside its doubling (conjugation symmetry).
+    reported alongside its doubling (conjugation symmetry).  workers is
+    accepted for old callers and ignored: the lines are bisected in
+    lockstep on one thread.
     """
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
-    boundary = region_boundary_points(m, q, alpha, component, workers)
-    if boundary.xs.size == 1 or boundary.x_b >= -q.tol:
-        res = AreaResult(0.0, 0.0, 0.0, boundary.x_b, alpha, component,
-                         flagged_empty=True, unbounded=boundary.unbounded)
-        return res, boundary
-    upper = float(np.trapezoid(boundary.ys, boundary.xs))
-    total = 2.0 * upper
-    res = AreaResult(total, upper, total, boundary.x_b, alpha, component,
-                     flagged_empty=False, unbounded=boundary.unbounded)
+    boundary = region_boundary_points(m, q, alpha, component)
+    empty = boundary.xs.size == 1 or boundary.x_b >= -q.tol
+    upper = 0.0 if empty else float(np.trapezoid(boundary.ys, boundary.xs))
+    res = AreaResult(2.0 * upper, upper, 2.0 * upper, boundary.x_b, alpha,
+                     component, flagged_empty=empty,
+                     unbounded=boundary.unbounded, **boundary.counts)
     return res, boundary
 
 
@@ -307,23 +375,16 @@ def constrained_region_area(m: ImexGlmMethod,
 # stability property reports
 
 def _charpoly_tail_residual(M: np.ndarray) -> float:
-    """max |c_k|, k >= 2, of det(wI - M) via Faddeev-LeVerrier.
+    """max |c_k|, k >= 2, of det(wI - M).
 
     For a method with inherited RK stability the polynomial collapses to
     w^{s-1}(w - R), so every coefficient past the trace vanishes; this
     residual measures that property without the eigenvalue splitting that
     a defective zero cluster suffers under coefficient rounding.
     """
-    s = M.shape[0]
-    coeffs = np.zeros(s + 1, dtype=complex)
-    coeffs[0] = 1.0
-    N = np.zeros_like(M, dtype=complex)
-    for k in range(1, s + 1):
-        N = M @ N + coeffs[k - 1] * np.eye(s)
-        coeffs[k] = -np.trace(M @ N) / k
-    if s < 2:
+    if M.shape[0] < 2:
         return 0.0
-    return float(np.abs(coeffs[2:]).max())
+    return float(np.abs(_charpoly(M)[2:]).max())
 
 
 def check_L_stability(t: GlmTableau, name: str = "",

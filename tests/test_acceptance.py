@@ -14,7 +14,6 @@ precision the tables actually support.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -108,13 +107,12 @@ def test_criterion_3_region_areas(dimsim4, dimsim5, euler_glm, capsys):
     """Constrained-region areas at alpha = pi/2 with the default query
     (30 lines, 33 angles) against the reference values: pi within 3% for
     the IMEX-Euler disk, 1.34/0.83 within 10% for the built-in pairs.
-    Runtime < 2 min with threaded boundary lines."""
+    Runtime < 2 min."""
     t0 = time.perf_counter()
     q = StabilityQuery()
-    workers = min(8, os.cpu_count() or 1)
     got = {}
     for m in (euler_glm, dimsim4, dimsim5):
-        res, _ = constrained_region_area(m, q, workers=workers)
+        res, _ = constrained_region_area(m, q)
         got[m.name] = res.area
     dt = time.perf_counter() - t0
     targets = {"imex-euler": (math.pi, 0.03),

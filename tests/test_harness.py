@@ -157,7 +157,7 @@ class TestWorkPrecision:
 
 class TestEmitStability:
     def test_file_set_and_content(self, euler_glm, coarse_query, tmp_path):
-        report = emit_stability(euler_glm, coarse_query, tmp_path, workers=1)
+        report = emit_stability(euler_glm, coarse_query, tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["areas.json", "s.csv", "s_alpha.csv", "shat.csv"]
 
@@ -180,10 +180,12 @@ class TestEmitStability:
         assert len(report["pair"]) == 3
         for entry in report["pair"]:
             assert abs(entry["area_total"] - math.pi) < 0.12
+            assert entry["decisions"] > 0 and entry["singular"] == 0
+            assert entry["matrices"] >= entry["decisions"]
             assert entry["x_b"] == pytest.approx(-2.0, abs=0.02)
 
     def test_alpha_nesting_pointwise(self, euler_glm, coarse_query, tmp_path):
-        emit_stability(euler_glm, coarse_query, tmp_path, workers=1)
+        emit_stability(euler_glm, coarse_query, tmp_path)
         rows = np.loadtxt(tmp_path / "s_alpha.csv", delimiter=",", skiprows=1)
         blocks = {}
         for alpha in STABILITY_ALPHAS:

@@ -109,9 +109,9 @@ class TestStartingProcedure:
     def test_tau_out_of_range(self, dimsim4):
         prob = dahlquist_split_problem(-0.3, -2.0)
         with pytest.raises(ValueError, match="tau"):
-            initialize_external(dimsim4, prob, 0.05, StartingConfig(tau=0.2))
+            initialize_external(dimsim4, prob, 0.05, StartingConfig(tau_ratio=4.0))
         with pytest.raises(ValueError, match="tau"):
-            initialize_external(dimsim4, prob, 0.05, StartingConfig(tau=0.0))
+            initialize_external(dimsim4, prob, 0.05, StartingConfig(tau_ratio=0.0))
 
     def test_file_scheme(self, dimsim5):
         prob = dahlquist_split_problem(-0.3, -2.0)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm.stability import (SingularStabilityError, StabilityQuery,
-                               boundary_intersection, check_irks,
+                               _pair_matrices_batch, _schur_cohn_stable,
+                               _stability_decider, boundary_intersection,
+                               check_irks,
                                check_L_stability, constrained_region_area,
                                glm_stability_matrix, imex_stability_matrix,
                                max_rho_over_stiff_grid,
@@ -17,6 +19,17 @@ from imexglm.tableau import imex_dimsim
 
 def euler_oracle(w, what):
     return (1.0 + w) / (1.0 - what)
+
+
+def eig_stable(Ms):
+    return np.abs(np.linalg.eigvals(Ms)).max(axis=-1) < 1.0
+
+
+def singular_toy():
+    """One-stage pair with Ahat = [[-1]]: I - w A - what Ahat = 1 + what is
+    singular at what = -1, a point of the coarse grid (magnitude 1, angle 0)."""
+    return imex_dimsim("singular-toy", np.array([1.0]), np.zeros((1, 1)),
+                       np.array([[-1.0]]), np.array([1.0]))
 
 
 class TestStabilityMatrices:
@@ -121,6 +134,119 @@ class TestBoundary:
         rows = b.mirrored()
         assert rows.shape == (coarse_query.n_lines, 3)
         assert np.array_equal(rows[:, 2], -rows[:, 1])
+
+
+class TestSchurCohnDecision:
+    def test_matches_eigenvalues_on_random_matrices(self):
+        rng = np.random.default_rng(11)
+        n = 7_000
+        for r in (3, 4, 5):
+            G = (rng.standard_normal((n, r, r))
+                 + 1j * rng.standard_normal((n, r, r))) / math.sqrt(2 * r)
+            Ms = G * rng.uniform(0.5, 1.5, size=(n, 1, 1))
+            want = eig_stable(Ms)
+            assert 0.2 < want.mean() < 0.8
+            assert np.array_equal(_schur_cohn_stable(Ms), want)
+
+    def test_matches_eigenvalues_on_boundary_lines(self, dimsim4, dimsim5,
+                                                   coarse_query):
+        grid = coarse_query.stiff_grid()
+        for m in (dimsim4, dimsim5):
+            b = region_boundary_points(m, coarse_query)
+            ys = np.concatenate([np.linspace(0.0, coarse_query.y_top, 33),
+                                 b.ys, b.ys + coarse_query.tol])
+            ws = (b.xs[:, None] + 1j * ys[None, :]).ravel()
+            Ms = _pair_matrices_batch(m, ws, grid)
+            assert Ms.shape == (ws.size, grid.size, m.r, m.r)
+            # on the line x = 0, M(iy, what) has rho = 1 to rounding for
+            # small y; there either answer is a rounding artifact
+            rho = np.abs(np.linalg.eigvals(Ms)).max(axis=-1)
+            decidable = np.abs(rho - 1.0) > 1e-12
+            ties = np.nonzero(~decidable)[0]
+            assert ties.size < 0.01 * rho.size
+            assert (ws[ties].real == 0.0).all()
+            assert np.array_equal(_schur_cohn_stable(Ms)[decidable],
+                                  (rho < 1.0)[decidable])
+
+    def test_batched_matrices_match_single_w(self, dimsim4, coarse_query):
+        grid = coarse_query.stiff_grid()
+        ws = np.array([-0.6 + 0.2j, -1.1 + 0.0j])
+        Ms = _pair_matrices_batch(dimsim4, ws, grid)
+        for k, w in enumerate(ws):
+            assert np.array_equal(Ms[k], _pair_matrices_batch(dimsim4, w, grid))
+
+
+def serial_ordinates(rho, xs, q):
+    """Reference bisection, one line and one point at a time."""
+    ys = []
+    for x in xs:
+        y_bot, y_top = 0.0, q.y_top
+        if rho(complex(x, 0.0)) < 1.0:
+            while y_top - y_bot > q.tol:
+                y_mid = 0.5 * (y_bot + y_top)
+                if rho(complex(x, y_mid)) < 1.0:
+                    y_bot = y_mid
+                else:
+                    y_top = y_mid
+        ys.append(y_bot)
+    return np.array(ys)
+
+
+class TestLockstepBisection:
+    def test_pair_matches_serial_bisection(self, dimsim4, dimsim5,
+                                           coarse_query):
+        for m in (dimsim4, dimsim5):
+            b = region_boundary_points(m, coarse_query)
+            want = serial_ordinates(
+                lambda w: max_rho_over_stiff_grid(m, w, coarse_query),
+                b.xs, coarse_query)
+            assert np.array_equal(b.ys, want)
+
+    def test_components_match_serial_bisection(self, dimsim4, dimsim5,
+                                               coarse_query):
+        origin_only = StabilityQuery(stiff_magnitudes=(0.0,),
+                                     n_angles=coarse_query.n_angles,
+                                     tol=coarse_query.tol,
+                                     y_top=coarse_query.y_top,
+                                     n_lines=coarse_query.n_lines)
+        for m in (dimsim4, dimsim5):
+            b = region_boundary_points(m, coarse_query, component="explicit")
+            want = serial_ordinates(
+                lambda w: max_rho_over_stiff_grid(m, w, origin_only),
+                b.xs, coarse_query)
+            assert np.array_equal(b.ys, want)
+            b = region_boundary_points(m, coarse_query, component="implicit")
+            want = serial_ordinates(
+                lambda z: spectral_radius(glm_stability_matrix(m.implicit, z)),
+                b.xs, coarse_query)
+            assert np.array_equal(b.ys, want)
+
+    def test_exact_decision_counts(self, dimsim4, coarse_query):
+        # default query: 24 crossing probes, 1 line start, then 13 levels
+        # over the 29 lines inside, at 232 stiff points each
+        res, b = constrained_region_area(dimsim4, StabilityQuery())
+        assert (res.decisions, res.matrices, res.singular) == (38, 99_992, 0)
+        assert b.counts == {"decisions": 38, "matrices": 99_992,
+                            "singular": 0}
+        res, _ = constrained_region_area(dimsim4, coarse_query)
+        assert (res.decisions, res.matrices, res.singular) == (32, 4_284, 0)
+
+    def test_singular_point_counts_unstable(self, coarse_query):
+        toy = singular_toy()
+        inside, counts = _stability_decider(toy, coarse_query,
+                                            coarse_query.alpha, "pair")
+        assert not inside([-0.5, -1.0 + 0.5j]).any()
+        assert counts == {"decisions": 1, "matrices": 56, "singular": 2}
+        assert max_rho_over_stiff_grid(toy, -0.5, coarse_query,
+                                       return_detail=True) == (np.inf, 1)
+        # implicit component: M(0, z) = (1 + 2z) / (1 + z), singular at -1
+        inside, counts = _stability_decider(toy, coarse_query,
+                                            coarse_query.alpha, "implicit")
+        assert inside([-0.5, -1.0]).tolist() == [True, False]
+        assert counts["singular"] == 1
+        res, _ = constrained_region_area(toy, coarse_query)
+        assert res.flagged_empty
+        assert res.singular == res.decisions > 0
 
 
 class TestAreas:
