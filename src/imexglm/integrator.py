@@ -9,9 +9,12 @@ through s stages
 
 with f/g evaluated at t + c_i h.  A linear stiff part g = J y + b(t) is
 given once, as (stiff_matrix, stiff_forcing); its diagonally implicit
-stage solves then share a single factorization of I - h*lambda*J, since
-the diagonal is constant for this method class, and each stage evaluates
-the forcing b once for both the solve and G_i = J Y_i + b.
+stage solves then share one solver of I - h*lambda*J, since the diagonal
+is constant for this method class, and each stage evaluates the forcing b
+once for both the solve and G_i = J Y_i + b.  The solver comes from the
+problem's stiff_solver factory when it has one (the fast-diagonalization
+Laplacian solve of both PDE benchmarks); otherwise I - h*lambda*J is
+factored, by SuperLU for sparse J and LAPACK LU for dense J.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class SemiDiscreteProblem:
 
     A linear stiff part g = J y + b(t) is given as stiff_matrix J (dense or
     sparse, constant) and stiff_forcing(t) -> b(t), or None for b = 0; g and
-    g_jacobian are then built from them.  A nonlinear g is given as g and
-    g_jacobian(t, y) instead.
+    g_jacobian are then built from them; stiff_solver, if given, maps gamma
+    to a solve of (I - gamma*J) y = r and stands in for factoring that
+    matrix.  A nonlinear g is given as g and g_jacobian(t, y) instead.
     """
 
     name: str
@@ -65,6 +69,7 @@ class SemiDiscreteProblem:
     g_jacobian: Callable[[float, np.ndarray], object] | None = None
     stiff_matrix: object = None
     stiff_forcing: Callable[[float], np.ndarray] | None = None
+    stiff_solver: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None
     exact: Callable[[float], np.ndarray] | None = None
     stiff_scale: float | None = None  # rough spectral bound of the full RHS
 
@@ -74,9 +79,10 @@ class SemiDiscreteProblem:
             raise ValueError(f"y0 must have shape ({self.d},)")
         J, b = self.stiff_matrix, self.stiff_forcing
         if J is None:
-            if self.g is None or self.g_jacobian is None or b is not None:
-                raise ValueError("give g and g_jacobian, or stiff_matrix "
-                                 "with an optional stiff_forcing")
+            if (self.g is None or self.g_jacobian is None or b is not None
+                    or self.stiff_solver is not None):
+                raise ValueError("give g and g_jacobian, or stiff_matrix with "
+                                 "an optional stiff_forcing and stiff_solver")
             return
         if self.g is not None or self.g_jacobian is not None:
             raise ValueError("give either stiff_matrix or g and g_jacobian, not both")
@@ -150,13 +156,14 @@ def imex_euler_ark() -> ImexRkMethod:
 # implicit stage solves
 
 class StiffSolverCache:
-    """Factorization reuse for linear stage solves.
+    """Solver reuse for linear stage solves.
 
     For linear g the iteration matrix I - gamma*J is constant in time, so
-    one factorization per distinct gamma = h*ahat_ii serves every stage of
-    every step (the DIMSIM diagonal is constant, giving a single gamma per
-    run).  Dense matrices go through LAPACK LU, sparse ones through
-    SuperLU.
+    one solver per distinct gamma = h*ahat_ii serves every stage of every
+    step (the DIMSIM diagonal is constant, giving a single gamma per run).
+    The solver is the problem's stiff_solver(gamma) when it has one;
+    otherwise I - gamma*J is factored, dense matrices by LAPACK LU and
+    sparse ones by SuperLU.
     """
 
     def __init__(self, prob: SemiDiscreteProblem):
@@ -166,7 +173,10 @@ class StiffSolverCache:
     def factorization(self, gamma: float):
         key = float(gamma)
         if key not in self._fact:
-            self._fact[key] = _factorize(self.prob.stiff_matrix, gamma, self.prob.d)
+            prob = self.prob
+            self._fact[key] = (_factorize(prob.stiff_matrix, gamma, prob.d)
+                               if prob.stiff_solver is None
+                               else prob.stiff_solver(gamma))
         return self._fact[key]
 
 

@@ -11,8 +11,9 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 glm_step, imex_euler_ark, initialize_external,
                                 integrate, rescaling_matrix, solve_stage)
 from imexglm.methods import ImexRkMethod, bundled_ark_path
-from imexglm.problems import (allen_cahn_benchmark, dahlquist_split_problem,
-                              five_point_laplacian, laplacian_boundary)
+from imexglm.problems import (allen_cahn_benchmark, burgers_benchmark,
+                              dahlquist_split_problem, five_point_laplacian,
+                              laplacian_boundary)
 from imexglm.stability import imex_stability_matrix
 
 
@@ -181,6 +182,38 @@ class TestStageSolves:
             res = integrate(dimsim4, prob, 20)
             assert sorted(calls) == sorted([res.h * dimsim4.lam, 0.5 * res.h])
 
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_laplacian_solver_matches_superlu_end_to_end(self, make, dimsim4,
+                                                         dimsim5, monkeypatch):
+        # the fast-diagonalization path and SuperLU give the same runs; it
+        # is built once per distinct gamma and SuperLU is never reached
+        start5 = StartingConfig(scheme=bundled_ark_path(4))
+        runs = {"dimsim4": (lambda p: integrate(dimsim4, p, 40), 2),
+                "dimsim5": (lambda p: integrate(dimsim5, p, 40, start=start5), 2),
+                "ark4": (lambda p: ark_integrate(_m4(), p, 40), 1)}
+        superlu = {}
+        for label, (run, _) in runs.items():
+            prob = make(n=10).problem
+            prob.stiff_solver = None
+            superlu[label] = run(prob).y
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("SuperLU reached")
+
+        monkeypatch.setattr(integrator, "splu", no_splu)
+        for label, (run, n_gammas) in runs.items():
+            prob = make(n=10).problem
+            factory, gammas = prob.stiff_solver, []
+
+            def counted(gamma):
+                gammas.append(gamma)
+                return factory(gamma)
+
+            prob.stiff_solver = counted
+            y, want = run(prob).y, superlu[label]
+            assert len(gammas) == len(set(gammas)) == n_gammas, label
+            assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want), label
+
     def test_affine_stage_evaluates_forcing_once(self, dimsim4, monkeypatch):
         bench = allen_cahn_benchmark(n=8)
         prob, grid = bench.problem, bench.grid
@@ -280,6 +313,10 @@ class TestStageSolves:
             SemiDiscreteProblem(**base, g=lambda t, y: y,
                                 g_jacobian=lambda t, y: np.eye(1),
                                 stiff_forcing=lambda t: np.ones(1))
+        with pytest.raises(ValueError, match="stiff_solver"):
+            SemiDiscreteProblem(**base, g=lambda t, y: y,
+                                g_jacobian=lambda t, y: np.eye(1),
+                                stiff_solver=lambda gamma: lambda r: r)
         prob = SemiDiscreteProblem(**base, stiff_matrix=np.array([[-2.0]]),
                                    stiff_forcing=lambda t: np.array([t]))
         assert prob.g(3.0, np.array([1.5])) == pytest.approx([0.0])

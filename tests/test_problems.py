@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imexglm import integrator
+from imexglm.integrator import StageSolveError
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
                               allen_cahn_benchmark, burgers_benchmark,
                               dahlquist_split_problem, error_field,
                               five_point_laplacian, l2_error,
                               laplacian_boundary, reference_solution,
-                              write_field_csv)
+                              shifted_laplacian_solver, write_field_csv)
 
 
 class TestGrid2D:
@@ -167,6 +169,42 @@ class TestDiscretization:
         b = laplacian_boundary(bench.grid, u, t=0.2)
         want = u(0.2, 0.0, bench.grid.coords[0]) + u(0.2, bench.grid.coords[0], 0.0)
         assert b[0] * bench.grid.dx ** 2 == pytest.approx(want, rel=1e-13)
+
+
+class TestShiftedLaplacianSolver:
+    @pytest.mark.parametrize("n", [4, 5, 10, 40, 50])
+    @pytest.mark.parametrize("coef", [0.01, 0.1])
+    @pytest.mark.parametrize("make", [
+        lambda n, coef: allen_cahn_benchmark(n=n, alpha=coef),
+        lambda n, coef: burgers_benchmark(n=n, nu=coef)],
+        ids=["allen-cahn", "burgers"])
+    def test_matches_superlu(self, make, n, coef):
+        prob = make(n, coef).problem
+        J = prob.stiff_matrix
+        L = coef * five_point_laplacian(Grid2D(n))
+        r = np.random.default_rng(n).standard_normal(prob.d)
+        for gamma in np.geomspace(1e-4, 1.0, 9):
+            y = prob.stiff_solver(gamma)(r)
+            want = integrator._factorize(L, gamma, prob.d)(r)
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+            residual = r - (y - gamma * (J @ y))
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_is_singular(self, gamma):
+        factory = shifted_laplacian_solver(Grid2D(6), 0.1)
+        with pytest.raises(StageSolveError,
+                           match=rf"singular iteration matrix \(gamma={gamma}\)"):
+            factory(gamma)
+
+    def test_zero_pivot_is_singular(self):
+        # coef makes 1 - gamma*coef*(lambda_1 + lambda_1) exactly 0 at gamma = 1
+        grid = Grid2D(4)
+        lam1 = -4.0 * np.sin(np.pi / 8) ** 2 / grid.dx ** 2
+        factory = shifted_laplacian_solver(grid, 1.0 / (lam1 + lam1))
+        with pytest.raises(StageSolveError,
+                           match=r"singular iteration matrix \(gamma=1.0\)"):
+            factory(1.0)
 
 
 class TestDahlquist:
