@@ -1,9 +1,11 @@
 """Built-in IMEX methods and loading of additive Runge-Kutta comparators.
 
 The order-4 and order-5 IMEX-DIMSIM pairs are stored exactly as published
-(15 decimal digits); validate_method confirms on load that the printed B
-blocks and starting weights agree with the order conditions to the
-precision those digits allow.
+(15 decimal digits), B blocks and starting weights included; loading does
+not check them.  validate_method (and `imexglm validate-method`) confirms
+that the printed B blocks and starting weights agree with the order
+conditions to the precision those digits allow, and the test suite runs it
+on every builtin GLM pair.
 
 Additive Runge-Kutta (ARK/IMEX-RK) comparator coefficients are not baked
 into code: they live in JSON data files (see data/) and are loaded through

@@ -11,6 +11,16 @@ which the 1D sine basis diagonalizes exactly, so each problem also gives
 stiff_solver (shifted_laplacian_solver): a diagonally implicit stage solve
 (I - gamma*J) y = r costs four small dense matmuls and one diagonal scaling
 per stage, with nothing to factor.
+
+The boundary data is evaluated in one vectorized call over the ring of
+4(n-1) boundary nodes next to the interior (Grid2D.ring), and one scatter
+(Grid2D.scatter_ring) adds it into the interior layout, for the Laplacian
+forcing and for Burgers' convective closure alike.  Each time-dependent
+field (the boundary ring, the Allen-Cahn source) sits behind a one-slot
+memo keyed on the exact time, so the forcing and f of one stage share an
+evaluation, as do a step's last stage (c_s = 1) and the next step's first
+(c_1 = 0).  The Allen-Cahn source is fused: its trig lines are computed
+once per call and shared by u, u_t and Lap(u).
 """
 
 from __future__ import annotations
@@ -47,6 +57,13 @@ class Grid2D:
         X, Y = np.meshgrid(self.coords, self.coords, indexing="ij")
         self.X = X.ravel()
         self.Y = Y.ravel()
+        # boundary ring: the sides x=0, x=1, y=0, y=1, each along coords,
+        # and the flat index of the interior node next to each ring node
+        m = self.n - 1
+        edge, j = np.zeros(m), np.arange(m)
+        self.ring_x = np.concatenate([edge, edge + 1.0, self.coords, self.coords])
+        self.ring_y = np.concatenate([self.coords, self.coords, edge, edge + 1.0])
+        self.ring_index = np.concatenate([j, (m - 1) * m + j, j * m, j * m + m - 1])
 
     @property
     def m(self) -> int:
@@ -61,6 +78,24 @@ class Grid2D:
         if out.shape != shape:  # constant or one-variable field
             out = np.broadcast_to(out, shape)  # read-only, but ravel copies it
         return out.ravel()
+
+    def ring(self, fn, t: float) -> np.ndarray:
+        """fn(t, x, y) in one call over the 4(n-1) boundary nodes that
+        neighbor the interior: the sides x=0, x=1, y=0, y=1 in turn, each
+        ordered along coords."""
+        out = np.asarray(fn(t, self.ring_x, self.ring_y), dtype=float)
+        if out.shape != self.ring_x.shape:  # constant field
+            out = np.broadcast_to(out, self.ring_x.shape).copy()
+        return out
+
+    def scatter_ring(self, ring, scale: float) -> np.ndarray:
+        """Add each ring value into the interior node next to it, then
+        multiply by scale: side x=0 lands on the first row (i = 1), x=1 on
+        the last row, y=0 on the first column and y=1 on the last, summed
+        in that order at the corners."""
+        b = np.bincount(self.ring_index, weights=ring, minlength=self.m)
+        b *= scale
+        return b
 
     def node_rows(self, field):
         """(i, j, x, y, value) tuples for CSV output."""
@@ -81,8 +116,8 @@ def _second_difference(n: int) -> sparse.csr_matrix:
 
 
 def five_point_laplacian(grid: Grid2D) -> sparse.csr_matrix:
-    """Interior five-point Laplacian, Dirichlet terms excluded (see
-    laplacian_boundary)."""
+    """Interior five-point Laplacian, Dirichlet terms excluded (they enter
+    through Grid2D.scatter_ring)."""
     m = grid.n - 1
     D2 = _second_difference(grid.n)
     I = sparse.identity(m, format="csr")
@@ -123,22 +158,9 @@ def shifted_laplacian_solver(grid: Grid2D, coef: float):
     return factory
 
 
-def laplacian_boundary(grid: Grid2D, u_bc, t: float) -> np.ndarray:
-    """Dirichlet contribution of the five-point stencil: for each interior
-    node missing a neighbor, u_bc at that boundary node over dx^2."""
-    n, dx, c = grid.n, grid.dx, grid.coords
-    m = n - 1
-    b = np.zeros((m, m))
-    b[0, :] += u_bc(t, 0.0, c)
-    b[-1, :] += u_bc(t, 1.0, c)
-    b[:, 0] += u_bc(t, c, 0.0)
-    b[:, -1] += u_bc(t, c, 1.0)
-    return b.ravel() / dx ** 2
-
-
 def _central_difference_x(grid: Grid2D):
-    """Sparse d/dx on the flattened field plus the boundary closure, both
-    second-order central."""
+    """Sparse second-order central d/dx and d/dy on the flattened field; the
+    boundary closure is added by Grid2D.scatter_ring."""
     m = grid.n - 1
     D1 = sparse.diags([-np.ones(m - 1), np.ones(m - 1)], offsets=[-1, 1], format="csr")
     I = sparse.identity(m, format="csr")
@@ -147,17 +169,20 @@ def _central_difference_x(grid: Grid2D):
     return Dx, Dy
 
 
-def convection_boundary(grid: Grid2D, w_bc, t: float) -> np.ndarray:
-    """Boundary closure of the central-difference divergence of w: nodes
-    one layer in pick up -w(left)/2dx or +w(right)/2dx per direction."""
-    dx, c = grid.dx, grid.coords
-    m = grid.n - 1
-    b = np.zeros((m, m))
-    b[0, :] -= w_bc(t, 0.0, c)
-    b[-1, :] += w_bc(t, 1.0, c)
-    b[:, 0] -= w_bc(t, c, 0.0)
-    b[:, -1] += w_bc(t, c, 1.0)
-    return b.ravel() / (2.0 * dx)
+def _memo_on_time(field_at):
+    """One-slot memo of t -> field_at(t), matched on exact equality of t.
+    The cached array is made read-only, since every caller shares it."""
+    last_t, last = None, None
+
+    def cached(t):
+        nonlocal last_t, last
+        if last is None or t != last_t:
+            last = field_at(t)
+            last.flags.writeable = False
+            last_t = t
+        return last
+
+    return cached
 
 
 @dataclass
@@ -179,21 +204,17 @@ def _allen_cahn_fields(alpha: float, beta: float):
     def u(t, x, y):
         return 2.0 + np.sin(2 * np.pi * (x - t)) * np.cos(3 * np.pi * (y - t))
 
-    def u_t(t, x, y):
-        S = np.sin(2 * np.pi * (x - t))
-        C = np.cos(2 * np.pi * (x - t))
-        P = np.cos(3 * np.pi * (y - t))
-        Q = np.sin(3 * np.pi * (y - t))
-        return -2 * np.pi * C * P + 3 * np.pi * S * Q
-
-    def lap_u(t, x, y):
-        S = np.sin(2 * np.pi * (x - t))
-        P = np.cos(3 * np.pi * (y - t))
-        return -13.0 * np.pi ** 2 * S * P
-
     def source(t, x, y):
-        uu = u(t, x, y)
-        return u_t(t, x, y) - alpha * lap_u(t, x, y) - beta * (uu - uu ** 3)
+        """u_t - alpha*Lap(u) - beta*(u - u^3), fused: with S, C the sine and
+        cosine of 2pi(x-t) and P, Q the cosine and sine of 3pi(y-t),
+        u = 2 + SP, u_t = -2pi CP + 3pi SQ and Lap(u) = -13pi^2 SP."""
+        ax, ay = 2 * np.pi * (x - t), 3 * np.pi * (y - t)
+        S, C = np.sin(ax), np.cos(ax)
+        P, Q = np.cos(ay), np.sin(ay)
+        SP = S * P
+        uu = 2.0 + SP
+        return (-2 * np.pi * C * P + 3 * np.pi * S * Q
+                + 13.0 * np.pi ** 2 * alpha * SP - beta * (uu - uu ** 3))
 
     return u, source
 
@@ -201,7 +222,7 @@ def _allen_cahn_fields(alpha: float, beta: float):
 def allen_cahn_problem(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
                        t_final: float = 0.5) -> SemiDiscreteProblem:
     """Allen-Cahn equation u_t = alpha*Lap(u) + beta*(u - u^3) + s(t,x,y)
-    on the unit square, forced so that
+    on the unit square, forced so that the traveling wave
     u = 2 + sin(2pi(x-t))cos(3pi(y-t)) is the solution.  Diffusion is the
     stiff implicit part; reaction and forcing stay explicit.
     """
@@ -212,16 +233,19 @@ def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
                          t_final: float = 0.5) -> PdeBenchmark:
     grid = Grid2D(n)
     u, source = _allen_cahn_fields(alpha, beta)
+    ring_at = _memo_on_time(lambda t: grid.ring(u, t))
+    source_at = _memo_on_time(lambda t: grid.evaluate(source, t))
+    forcing_scale = alpha / grid.dx ** 2
 
     def f(t, v):
-        return beta * (v - v ** 3) + grid.evaluate(source, t)
+        return beta * (v - v ** 3) + source_at(t)
 
     prob = SemiDiscreteProblem(
         name=f"allen-cahn-n{n}", d=grid.m, t0=0.0, tF=t_final,
         y0=grid.evaluate(u, 0.0), f=f,
         stiff_matrix=alpha * five_point_laplacian(grid),
         stiff_solver=shifted_laplacian_solver(grid, alpha),
-        stiff_forcing=lambda t: alpha * laplacian_boundary(grid, u, t),
+        stiff_forcing=lambda t: grid.scatter_ring(ring_at(t), forcing_scale),
         exact=lambda t: grid.evaluate(u, t),
         stiff_scale=alpha * 8.0 * n ** 2)
     return PdeBenchmark(name=prob.name, grid=grid,
@@ -247,21 +271,25 @@ def burgers_benchmark(n: int = 50, nu: float = 0.1,
     def u(t, x, y):
         return 1.0 / (1.0 + np.exp((x + y - t) / (2.0 * nu)))
 
-    def w(t, x, y):          # w = u^2, the convected flux
-        return u(t, x, y) ** 2
-
     Dx, Dy = _central_difference_x(grid)
     Dsum = (Dx + Dy).tocsr()
+    ring_at = _memo_on_time(lambda t: grid.ring(u, t))
+    forcing_scale = nu / grid.dx ** 2
+    # central-difference closure of the divergence of the flux w = u^2: its
+    # ring values enter with - on the sides x=0, y=0 and + on x=1, y=1
+    flux_signs = np.repeat([-1.0, 1.0, -1.0, 1.0], n - 1)
+    flux_scale = 1.0 / (2.0 * grid.dx)
 
     def f(t, v):
-        return -0.5 * (Dsum @ (v ** 2) + convection_boundary(grid, w, t))
+        closure = grid.scatter_ring(flux_signs * ring_at(t) ** 2, flux_scale)
+        return -0.5 * (Dsum @ (v ** 2) + closure)
 
     prob = SemiDiscreteProblem(
         name=f"burgers-n{n}", d=grid.m, t0=0.0, tF=t_final,
         y0=grid.evaluate(u, 0.0), f=f,
         stiff_matrix=nu * five_point_laplacian(grid),
         stiff_solver=shifted_laplacian_solver(grid, nu),
-        stiff_forcing=lambda t: nu * laplacian_boundary(grid, u, t),
+        stiff_forcing=lambda t: grid.scatter_ring(ring_at(t), forcing_scale),
         exact=lambda t: grid.evaluate(u, t),
         stiff_scale=nu * 8.0 * n ** 2)
     return PdeBenchmark(name=prob.name, grid=grid,

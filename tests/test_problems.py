@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexglm import integrator
-from imexglm.integrator import StageSolveError
+from imexglm import integrator, problems
+from imexglm.integrator import StageSolveError, ark_integrate, integrate
+from imexglm.methods import resolve_method
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
                               allen_cahn_benchmark, burgers_benchmark,
                               dahlquist_split_problem, error_field,
                               five_point_laplacian, l2_error,
-                              laplacian_boundary, reference_solution,
-                              shifted_laplacian_solver, write_field_csv)
+                              reference_solution, shifted_laplacian_solver,
+                              write_field_csv)
 
 
 class TestGrid2D:
@@ -152,7 +153,7 @@ class TestDiscretization:
     def test_boundary_injection_spot_value(self):
         g = Grid2D(5)
         u = lambda t, x, y: np.asarray(t + 10.0 * x + y)
-        b = laplacian_boundary(g, u, t=2.0)
+        b = g.scatter_ring(g.ring(u, 2.0), 1.0 / g.dx ** 2)
         # corner node (1,1) misses both the x=0 and y=0 neighbors
         want = (u(2.0, 0.0, g.coords[0]) + u(2.0, g.coords[0], 0.0)) / g.dx ** 2
         assert b[0] == pytest.approx(want)
@@ -164,11 +165,198 @@ class TestDiscretization:
         assert b[k] == 0.0
 
     def test_boundary_injection_matches_exact_solution(self):
-        bench = allen_cahn_benchmark(n=8)
-        u = bench.boundary_value
-        b = laplacian_boundary(bench.grid, u, t=0.2)
-        want = u(0.2, 0.0, bench.grid.coords[0]) + u(0.2, bench.grid.coords[0], 0.0)
-        assert b[0] * bench.grid.dx ** 2 == pytest.approx(want, rel=1e-13)
+        bench = allen_cahn_benchmark(n=8, alpha=0.01)
+        u, grid = bench.boundary_value, bench.grid
+        b = bench.problem.stiff_forcing(0.2)
+        want = u(0.2, 0.0, grid.coords[0]) + u(0.2, grid.coords[0], 0.0)
+        assert b[0] * grid.dx ** 2 / 0.01 == pytest.approx(want, rel=1e-13)
+
+    def test_ring_layout(self):
+        g = Grid2D(5)
+        c, zero, one = g.coords, np.zeros(4), np.ones(4)
+        assert np.array_equal(g.ring_x, np.concatenate([zero, one, c, c]))
+        assert np.array_equal(g.ring_y, np.concatenate([c, c, zero, one]))
+        const = g.ring(lambda t, x, y: 2.5, 0.0)
+        assert const.shape == (16,) and np.all(const == 2.5) and const.flags.writeable
+
+
+def side_forcing(grid, u, t, coef):
+    """Dirichlet term of coef * five-point Laplacian, side by side."""
+    c, m = grid.coords, grid.n - 1
+    b = np.zeros((m, m))
+    b[0, :] += u(t, 0.0, c)
+    b[-1, :] += u(t, 1.0, c)
+    b[:, 0] += u(t, c, 0.0)
+    b[:, -1] += u(t, c, 1.0)
+    return coef * (b.ravel() / grid.dx ** 2)
+
+
+def side_flux_closure(grid, u, t):
+    """Boundary closure of the central-difference divergence of u^2, side by
+    side: -w/2dx on the x=0, y=0 sides and +w/2dx on x=1, y=1."""
+    c, m = grid.coords, grid.n - 1
+    b = np.zeros((m, m))
+    b[0, :] -= u(t, 0.0, c) ** 2
+    b[-1, :] += u(t, 1.0, c) ** 2
+    b[:, 0] -= u(t, c, 0.0) ** 2
+    b[:, -1] += u(t, c, 1.0) ** 2
+    return b.ravel() / (2.0 * grid.dx)
+
+
+def relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestBoundaryRing:
+    @pytest.mark.parametrize("n", [5, 40, 50])
+    @pytest.mark.parametrize("t", [0.0, 0.137, 0.5])
+    def test_forcing_matches_side_by_side(self, n, t):
+        for bench, coef in ((allen_cahn_benchmark(n=n, alpha=0.01), 0.01),
+                            (burgers_benchmark(n=n, nu=0.1), 0.1)):
+            got = bench.problem.stiff_forcing(t)
+            want = side_forcing(bench.grid, bench.boundary_value, t, coef)
+            assert relative(got, want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 40, 50])
+    @pytest.mark.parametrize("t", [0.0, 0.137, 0.5])
+    def test_burgers_closure_matches_side_by_side(self, n, t):
+        bench = burgers_benchmark(n=n)
+        prob = bench.problem
+        # f(t, 0) = -0.5 * closure, since the interior flux vanishes
+        got = -2.0 * prob.f(t, np.zeros(prob.d))
+        want = side_flux_closure(bench.grid, bench.boundary_value, t)
+        assert relative(got, want) <= 1e-15
+
+
+class TestAllenCahnSource:
+    @pytest.mark.parametrize("alpha, beta", [(0.01, 3.0), (1.0, 3.0), (0.1, 0.5)])
+    def test_fused_source_matches_unfused(self, alpha, beta):
+        u, source = _allen_cahn_fields(alpha, beta)
+
+        def u_t(t, x, y):
+            return (-2 * np.pi * np.cos(2 * np.pi * (x - t)) * np.cos(3 * np.pi * (y - t))
+                    + 3 * np.pi * np.sin(2 * np.pi * (x - t)) * np.sin(3 * np.pi * (y - t)))
+
+        def lap_u(t, x, y):
+            return -13.0 * np.pi ** 2 * (u(t, x, y) - 2.0)
+
+        grid = Grid2D(40)
+        for t in (0.0, 0.137, 0.5):
+            uu = grid.evaluate(u, t)
+            want = (grid.evaluate(u_t, t) - alpha * grid.evaluate(lap_u, t)
+                    - beta * (uu - uu ** 3))
+            assert relative(grid.evaluate(source, t), want) <= 1e-13
+
+
+def recorder(fn, log, t_arg):
+    """Wrap fn to log (t, output) per call, t being positional t_arg."""
+    def recorded(*args):
+        out = fn(*args)
+        log.append((args[t_arg], out))
+        return out
+
+    return recorded
+
+
+class TestTimeMemo:
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_interleaved_times_match_fresh_problem(self, make):
+        t1, t2 = 0.137, 0.5
+        prob = make(n=10).problem
+        v = prob.exact(0.3)
+        calls = []
+        for t in (t1, t2, t1, t1, t2):
+            calls.append((t, prob.stiff_forcing(t), prob.f(t, v)))
+            calls.append((t, prob.stiff_forcing(t), prob.f(t, v)))
+        for t, forcing, f in calls:
+            fresh = make(n=10).problem
+            assert np.array_equal(forcing, fresh.stiff_forcing(t))
+            assert np.array_equal(f, fresh.f(t, v))
+
+    def test_memoized_arrays_are_read_only(self, monkeypatch):
+        rings, sources = [], []
+        monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
+        monkeypatch.setattr(Grid2D, "evaluate", recorder(Grid2D.evaluate, sources, 2))
+        ac = allen_cahn_benchmark(n=6).problem
+        bu = burgers_benchmark(n=6).problem
+        sources.clear()                      # y0 is not memoized
+        ac.stiff_forcing(0.1)
+        ac.f(0.1, ac.y0)
+        bu.f(0.1, bu.y0)
+        assert len(rings) == 2 and len(sources) == 1
+        for _, out in rings + sources:
+            with pytest.raises(ValueError):
+                out[0] = 1.0
+        # the problem's own outputs stay writable
+        for out in (ac.f(0.1, ac.y0), ac.stiff_forcing(0.1), bu.f(0.1, bu.y0)):
+            out[0] = 1.0
+
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_one_evaluation_per_distinct_stage_time(self, make, monkeypatch):
+        rings, sources = [], []
+        monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
+        fields = problems._allen_cahn_fields
+
+        def recorded_fields(alpha, beta):
+            u, source = fields(alpha, beta)
+            return u, recorder(source, sources, 0)
+
+        monkeypatch.setattr(problems, "_allen_cahn_fields", recorded_fields)
+        start = integrator.initialize_external
+        stepping_from = []
+
+        def marked_start(*args, **kwargs):
+            out = start(*args, **kwargs)
+            stepping_from.append((len(rings), len(sources)))
+            return out
+
+        monkeypatch.setattr(integrator, "initialize_external", marked_start)
+
+        def times(log, skip=0):
+            return [t for t, _ in log[skip:]]
+
+        N = 20
+        dimsim4 = resolve_method("dimsim4")
+        prob = make(n=10, t_final=0.5).problem
+        h = (prob.tF - prob.t0) / N
+        stage_times, t = [], prob.t0
+        for _ in range(N):                   # glm_step's clock: t <- t + h
+            stage_times += [t + float(c) * h for c in dimsim4.c]
+            t = t + h
+        distinct = list(dict.fromkeys(stage_times))
+        # c_1 = 0 and c_s = 1: each step's last stage time is the next one's first
+        assert len(distinct) == N * (dimsim4.s - 1) + 1
+        rings.clear(), sources.clear()
+        integrate(dimsim4, prob, N)
+        ring_from, source_from = stepping_from[0]
+        assert times(rings, ring_from) == distinct
+        if make is allen_cahn_benchmark:
+            assert times(sources, source_from) == distinct
+
+        ark4 = resolve_method("ark4")
+        prob = make(n=10, t_final=0.5).problem
+        stage_times = []
+        for k in range(N):                   # ark_integrate's clock: t0 + k*h
+            t = prob.t0 + k * h
+            stage_times += [t + float(c) * h for c in ark4.c]
+        rings.clear(), sources.clear()
+        ark_integrate(ark4, prob, N)
+        assert times(rings) == list(dict.fromkeys(stage_times))
+        if make is allen_cahn_benchmark:
+            assert times(sources) == list(dict.fromkeys(stage_times))
+
+        # classical RK4 reference: k2 and k3 share t + h/2
+        n_ref = 400
+        prob = make(n=10, t_final=0.5).problem
+        h = (prob.tF - prob.t0) / n_ref
+        stage_times = []
+        for k in range(n_ref):
+            t = prob.t0 + k * h
+            stage_times += [t, t + 0.5 * h, t + 0.5 * h, t + h]
+        rings.clear(), sources.clear()
+        reference_solution(prob, n_ref)
+        assert times(rings) == list(dict.fromkeys(stage_times))
+        assert len(rings) < 3 * n_ref + 1
 
 
 class TestShiftedLaplacianSolver:
