@@ -83,10 +83,7 @@ class Grid2D:
         """fn(t, x, y) in one call over the 4(n-1) boundary nodes that
         neighbor the interior: the sides x=0, x=1, y=0, y=1 in turn, each
         ordered along coords."""
-        out = np.asarray(fn(t, self.ring_x, self.ring_y), dtype=float)
-        if out.shape != self.ring_x.shape:  # constant field
-            out = np.broadcast_to(out, self.ring_x.shape).copy()
-        return out
+        return np.asarray(fn(t, self.ring_x, self.ring_y), dtype=float)
 
     def scatter_ring(self, ring, scale: float) -> np.ndarray:
         """Add each ring value into the interior node next to it, then

@@ -176,8 +176,6 @@ class TestDiscretization:
         c, zero, one = g.coords, np.zeros(4), np.ones(4)
         assert np.array_equal(g.ring_x, np.concatenate([zero, one, c, c]))
         assert np.array_equal(g.ring_y, np.concatenate([c, c, zero, one]))
-        const = g.ring(lambda t, x, y: 2.5, 0.0)
-        assert const.shape == (16,) and np.all(const == 2.5) and const.flags.writeable
 
 
 def side_forcing(grid, u, t, coef):
