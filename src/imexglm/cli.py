@@ -211,7 +211,10 @@ def _cmd_optimize(args) -> int:
         budget=args.budget, seed_matrix=np.asarray(m.A), rng_seed=args.seed)
     print(json.dumps({
         "method": m.name, "seed_area": result.seed_area, "area": result.area,
-        "n_evaluations": result.n_evaluations, "failed": result.failed},
+        "n_evaluations": result.n_evaluations, "failed": result.failed,
+        "decisions": result.decisions, "matrices": result.matrices,
+        "singular": result.singular,
+        "best_area_trace": result.best_area_trace},
         indent=2, default=float))
     if args.out and result.method is not None:
         save_method(result.method, args.out)

@@ -361,8 +361,11 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
         for j in range(r - 1):
             y = micro(prob, y, t0 + j * tau, tau)
             ys.append(y)
-    Fs = np.array([prob.f(t0 + j * tau, ys[j]) for j in range(r)])
-    Gs = np.array([prob.g(t0 + j * tau, ys[j]) for j in range(r)])
+    # f and g at one node in turn, so they share the problem's time memo
+    Fs, Gs = np.empty((2, r, prob.d))
+    for j in range(r):
+        Fs[j] = prob.f(t0 + j * tau, ys[j])
+        Gs[j] = prob.g(t0 + j * tau, ys[j])
 
     D = derivative_weights(r)
     R = rescaling_matrix(h, tau, r)
@@ -459,7 +462,7 @@ def ark_integrate(mrk: ImexRkMethod, prob: SemiDiscreteProblem, n_steps: int,
         except (StageSolveError, IntegrationError) as exc:
             raise IntegrationError(
                 f"step {n + 1}/{n_steps} at t={t:.6g} failed: {exc}") from exc
-        t = prob.t0 + (n + 1) * h
+        t = t + h          # bit for bit the last stage's t + 1.0*h, as in glm_step
         if record_trajectory:
             traj.append((t, y.copy()))
     return IntegrationResult(t=t, y=y, n_steps=n_steps, h=h, t_readout=t,

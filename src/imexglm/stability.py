@@ -13,9 +13,18 @@ are traced by bisection on vertical lines in the upper half-plane and
 areas by the trapezoidal rule, doubled by conjugation symmetry.
 
 All lines are bisected in lockstep: each level makes one batched decision
-over lines x stiff points.  rho(M) < 1 is decided without eigenvalues, by
-the Schur-Cohn test on the characteristic polynomial of each stacked M;
-points where I - wA - what*Ahat is singular count as unstable.
+over lines x stiff points.  rho(M) < 1 is decided without eigenvalues or
+per-point linear solves.  For a fixed stiff point,
+
+    Q(z; v) = det(E) det(zI - M) = det [[E, -U], [-W, zI - V]],
+
+with E = I - wA - what*Ahat and W = wB + what*Bhat, is a polynomial of
+degree <= s in the line variable v (w, or what on the implicit component)
+and r in z (Jackiewicz, General Linear Methods for ODEs, 2009).  Its
+coefficients are interpolated once per region; a decision evaluates them
+at every v with one matmul and runs the Schur-Cohn test on the resulting
+polynomials in z.  Points where E is singular, so that the leading
+coefficient det(E) vanishes, count as unstable.
 """
 
 from __future__ import annotations
@@ -102,17 +111,58 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+def _pair_blocks(m: ImexGlmMethod, w, whats):
+    """E = I - wA - what*Ahat and W = wB + what*Bhat over the stiff values:
+    E of shape (P, s, s) for a scalar w, (L, P, s, s) for w of shape (L,)."""
+    w = np.asarray(w, dtype=complex)[..., None, None, None]
+    whats = np.asarray(whats, dtype=complex).ravel()[:, None, None]
+    return np.eye(m.s) - w * m.A - whats * m.Ahat, w * m.B + whats * m.Bhat
+
+
 def _pair_matrices_batch(m: ImexGlmMethod, w, whats: np.ndarray) -> np.ndarray:
     """Stacked M(w, what) over the stiff values, one LAPACK call: shape
     (P, r, r) for a scalar w, (L, P, r, r) for w of shape (L,)."""
+    E, W = _pair_blocks(m, w, whats)
+    U = np.broadcast_to(m.explicit.U.astype(complex), E.shape[:-1] + (m.r,))
+    return m.explicit.V + W @ np.linalg.solve(E, U)
+
+
+def _block_charpoly(E: np.ndarray, W: np.ndarray, U: np.ndarray,
+                    V: np.ndarray) -> np.ndarray:
+    """det [[E, -U], [-W, zI - V]] for each (E, W) of a stack, as
+    coefficients in z, highest degree first, interpolated at the (r + 1)th
+    roots of unity.  Unlike det(E) det(zI - M) it needs no inverse of E."""
+    s, r = E.shape[-1], V.shape[-1]
+    z = np.exp(2j * np.pi * np.arange(r + 1) / (r + 1))[:, None, None]
+    K = np.zeros(E.shape[:-2] + (r + 1, s + r, s + r), dtype=complex)
+    K[..., :s, :s] = E[..., None, :, :]
+    K[..., :s, s:] = -U
+    K[..., s:, :s] = -W[..., None, :, :]
+    K[..., s:, s:] = z * np.eye(r) - V
+    return np.fft.fft(np.linalg.det(K), axis=-1)[..., ::-1] / (r + 1)
+
+
+def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
+    """det(E) det(zI - M(w, what)) as coefficients in z, highest degree
+    first, stacked (..., P, r + 1) as in _pair_matrices_batch.
+
+    Where E is singular (det(E) = 0: LAPACK met an exact zero pivot) M does
+    not exist; there the polynomial is the block determinant of
+    _block_charpoly, with its leading coefficient det(E) set to an exact 0
+    so the point decides unstable and is tallied singular."""
     s, r = m.s, m.r
-    w = np.asarray(w, dtype=complex)[..., None, None, None]
-    whats = np.asarray(whats, dtype=complex).ravel()[:, None, None]
-    lhs = np.eye(s) - w * m.A - whats * m.Ahat
-    rhs = np.broadcast_to(m.explicit.U.astype(complex), lhs.shape[:-1] + (r,))
-    X = np.linalg.solve(lhs, rhs)
-    W = w * m.B + whats * m.Bhat
-    return m.explicit.V + W @ X
+    E, W = _pair_blocks(m, w, whats)
+    W = np.broadcast_to(W, E.shape[:-2] + (r, s))
+    U, V = m.explicit.U.astype(complex), m.explicit.V
+    det = np.linalg.det(E)
+    ok = det != 0.0
+    Q = np.empty(E.shape[:-2] + (r + 1,), dtype=complex)
+    X = np.linalg.solve(E[ok], np.broadcast_to(U, (np.count_nonzero(ok), s, r)))
+    Q[ok] = _charpoly(V + W[ok] @ X) * det[ok][:, None]
+    if not ok.all():
+        Q[~ok] = _block_charpoly(E[~ok], W[~ok], U, V)
+        Q[~ok, 0] = 0.0
+    return Q
 
 
 def max_rho_over_stiff_grid(m: ImexGlmMethod, w: complex,
@@ -166,21 +216,33 @@ def _charpoly(M: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
-    """rho(M) < 1 for each matrix of a stack (..., r, r).
+def _schur_cohn(a: np.ndarray) -> np.ndarray:
+    """Whether every zero of a[0] z^r + ... + a[r] lies in the open unit
+    disk, for each polynomial of a stack with its coefficients on axis 0.
 
-    The Schur-Cohn reduction p <- (conj(a_n) p - a_0 p*) / z of the
-    characteristic polynomial keeps every zero in the open unit disk iff
-    |a_n| > |a_0| at each of its r steps (Marden, Geometry of Polynomials,
-    1966; Miller 1971).
+    The Schur-Cohn reduction p <- (conj(a_0) p - a_r p*) / z keeps every
+    zero in the open unit disk iff |a_0| > |a_r| at each of its r steps
+    (Marden, Geometry of Polynomials, 1966; Miller 1971), so a vanishing
+    leading coefficient fails at once.
     """
-    a = _charpoly(M)
-    stable = np.ones(a.shape[:-1], dtype=bool)
-    for _ in range(M.shape[-1]):
-        lead, const = a[..., :1], a[..., -1:]
-        stable &= np.abs(lead[..., 0]) > np.abs(const[..., 0])
-        a = (lead.conj() * a - const * a[..., ::-1].conj())[..., :-1]
+    stable = np.ones(a.shape[1:], dtype=bool)
+    for _ in range(a.shape[0] - 1):
+        lead, const = a[0], a[-1]
+        stable &= np.abs(lead) > np.abs(const)
+        # the dropped last term, conj(lead) const - const conj(lead), is 0
+        a = lead.conj() * a[:-1] - const * a[:0:-1].conj()
     return stable
+
+
+def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
+    """rho(M) < 1 for each matrix of a stack (..., r, r), by the
+    Schur-Cohn test on its characteristic polynomial."""
+    return _schur_cohn(np.moveaxis(_charpoly(M), -1, 0))
+
+
+# Interpolation nodes of the line polynomials lie on this circle.  Any
+# radius from 1 to 4 gives the same decisions on the built-in methods.
+_NODE_RADIUS = 2.0
 
 
 def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
@@ -190,9 +252,17 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     Returns (inside, counts): inside(ws) -> bool[L] decides rho(M) < 1 at
     every stiff grid point for all L values ws in one call.  The explicit
     component is M(w, 0) and the implicit one M(0, z), the matrices of
-    glm_stability_matrix since the pair shares (U, V, c).  A singular
-    I - wA - what*Ahat is retried per w, then per point; singular points
-    count as unstable.  counts tallies calls, matrices and singular points.
+    glm_stability_matrix since the pair shares (U, V, c).
+
+    Per stiff point, Q(z; v) = det(E) det(zI - M) has degree <= s in the
+    line variable v, so its coefficients are found here once: the constant
+    term is Q(0) itself, the others come from (Q(v_q) - Q(0)) / v_q at s
+    nodes v_q = R exp(i pi (2q + 1) / s) by one FFT.  The half-step turn
+    keeps the nodes off the positive real axis, where the implicit poles
+    what = 1/lambda lie.  A decision is then one matmul of the powers of v
+    against them and the Schur-Cohn test; a point whose leading
+    coefficient det(E) is 0 is singular and counts as unstable.  counts
+    tallies calls, points decided and singular points.
     """
     if component == "pair":
         grid = q.stiff_grid(alpha)
@@ -200,30 +270,27 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
         grid = np.zeros(1, dtype=complex)
     else:
         raise ValueError(f"unknown region component {component!r}")
+    s, r, P = m.s, m.r, grid.size
+    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
+    v = np.concatenate(([0.0], nodes))
+    if component == "implicit":
+        Q = _pair_charpolys(m, 0.0, v)[:, None]
+    else:
+        Q = _pair_charpolys(m, v, grid)
+    # Q: (s + 1, P, r + 1); the line coefficients of degree 1..s from an FFT
+    D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
+    D /= (s * nodes[0] ** np.arange(s))[:, None, None]
+    # coefficient-major layout: row j * P + p holds z^(r - j) at point p
+    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0).reshape(-1, s + 1)
     counts = {"decisions": 0, "matrices": 0, "singular": 0}
 
-    def decide(ws: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        try:
-            if component == "implicit":
-                Ms = _pair_matrices_batch(m, pts, ws).swapaxes(0, 1)
-            else:
-                Ms = _pair_matrices_batch(m, ws, pts)
-            return _schur_cohn_stable(Ms).all(axis=-1)
-        except np.linalg.LinAlgError:
-            if ws.size > 1:
-                return np.concatenate([decide(ws[i:i + 1], pts)
-                                       for i in range(ws.size)])
-            if pts.size > 1:
-                return np.array([all([decide(ws, pts[k:k + 1])[0]
-                                      for k in range(pts.size)])])
-            counts["singular"] += 1
-            return np.zeros(1, dtype=bool)
-
     def inside(ws) -> np.ndarray:
-        ws = np.asarray(ws, dtype=complex)
+        ws = np.asarray(ws, dtype=complex).ravel()
+        a = (C @ np.vander(ws, s + 1, increasing=True).T).reshape(r + 1, P, -1)
         counts["decisions"] += 1
-        counts["matrices"] += ws.size * grid.size
-        return decide(ws, grid)
+        counts["matrices"] += ws.size * P
+        counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
+        return _schur_cohn(a).all(axis=0)
 
     return inside, counts
 
@@ -295,7 +362,7 @@ class AreaResult:
     flagged_empty: bool = False
     unbounded: bool = False
     decisions: int = 0      # batched rho < 1 decisions
-    matrices: int = 0       # stability matrices decided
+    matrices: int = 0       # (w, what) points decided, one matrix M each
     singular: int = 0       # singular points met (counted unstable)
 
 
@@ -515,6 +582,10 @@ class OptimizeExplicitResult:
     seed_area: float | None
     n_evaluations: int
     failed: bool = False
+    decisions: int = 0      # summed AreaResult counts over all evaluations
+    matrices: int = 0
+    singular: int = 0
+    best_area_trace: list = field(default_factory=list)  # best area after each evaluation
 
 
 def _explicit_from_params(params: np.ndarray, s: int) -> np.ndarray:
@@ -568,6 +639,8 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         )
 
     state = {"n": 0, "best_area": -1.0, "best_params": None}
+    counts = {"decisions": 0, "matrices": 0, "singular": 0}
+    trace = []
 
     def area_of(params: np.ndarray) -> float:
         if state["n"] >= budget:
@@ -576,11 +649,14 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         try:
             res, _ = constrained_region_area(build(params), q, alpha)
             a = 0.0 if res.flagged_empty else res.area
+            for key in counts:
+                counts[key] += getattr(res, key)
         except (np.linalg.LinAlgError, SingularStabilityError):
             a = 0.0
         if a > state["best_area"]:
             state["best_area"] = a
             state["best_params"] = np.array(params, dtype=float)
+        trace.append(state["best_area"])
         return a
 
     seed_area = None
@@ -643,11 +719,12 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         return OptimizeExplicitResult(
             method=build(params), A=_explicit_from_params(params, s),
             area=0.0, seed_area=seed_area, n_evaluations=state["n"],
-            failed=True,
+            failed=True, best_area_trace=trace, **counts,
         )
     best = state["best_params"]
     return OptimizeExplicitResult(
         method=build(best), A=_explicit_from_params(best, s),
         area=state["best_area"], seed_area=seed_area,
         n_evaluations=state["n"], failed=False,
+        best_area_trace=trace, **counts,
     )

@@ -270,6 +270,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_evaluations"] <= 4
         assert payload["seed_area"] > 0.0
+        # the seed alone is 32 decisions over 4,284 points (coarse query)
+        assert payload["decisions"] >= 32 and payload["matrices"] >= 4_284
+        assert payload["singular"] == 0
+        trace = payload["best_area_trace"]
+        assert len(trace) == payload["n_evaluations"]
+        assert trace[0] == payload["seed_area"] and trace[-1] == payload["area"]
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm import integrator, problems
-from imexglm.integrator import StageSolveError, ark_integrate, integrate
-from imexglm.methods import resolve_method
+from imexglm.integrator import (StageSolveError, StartingConfig, ark_integrate,
+                                integrate)
+from imexglm.methods import bundled_ark_path, resolve_method
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
                               allen_cahn_benchmark, burgers_benchmark,
@@ -332,29 +333,62 @@ class TestTimeMemo:
             assert times(sources, source_from) == distinct
 
         ark4 = resolve_method("ark4")
+        N = 50
         prob = make(n=10, t_final=0.5).problem
-        stage_times = []
-        for k in range(N):                   # ark_integrate's clock: t0 + k*h
-            t = prob.t0 + k * h
+        h = (prob.tF - prob.t0) / N
+        # a clock of t0 + (k + 1)*h misses the last stage's t + 1.0*h here
+        assert sum(prob.t0 + (k + 1) * h != (prob.t0 + k * h) + 1.0 * h
+                   for k in range(N)) == 11
+        stage_times, t = [], prob.t0
+        for _ in range(N):                   # ark_integrate's clock: t <- t + h
             stage_times += [t + float(c) * h for c in ark4.c]
+            t = t + h
+        distinct = list(dict.fromkeys(stage_times))
+        assert len(distinct) == N * (ark4.sigma - 1) + 1
         rings.clear(), sources.clear()
         ark_integrate(ark4, prob, N)
-        assert times(rings) == list(dict.fromkeys(stage_times))
+        assert times(rings) == distinct
         if make is allen_cahn_benchmark:
-            assert times(sources) == list(dict.fromkeys(stage_times))
+            assert times(sources) == distinct
 
-        # classical RK4 reference: k2 and k3 share t + h/2
+        # classical RK4 reference: k2 and k3 share t + h/2, k4 the next k1
         n_ref = 400
         prob = make(n=10, t_final=0.5).problem
         h = (prob.tF - prob.t0) / n_ref
-        stage_times = []
-        for k in range(n_ref):
-            t = prob.t0 + k * h
+        stage_times, t = [], prob.t0
+        for _ in range(n_ref):
             stage_times += [t, t + 0.5 * h, t + 0.5 * h, t + h]
+            t = t + h
         rings.clear(), sources.clear()
         reference_solution(prob, n_ref)
         assert times(rings) == list(dict.fromkeys(stage_times))
-        assert len(rings) < 3 * n_ref + 1
+        assert len(rings) == 2 * n_ref + 1
+
+    @pytest.mark.parametrize("method, scheme", [
+        ("dimsim4", "imex-euler"), ("dimsim5", bundled_ark_path(4))],
+        ids=["dimsim4", "dimsim5"])
+    def test_starter_nodes_share_one_ring(self, method, scheme, monkeypatch):
+        rings, calls = [], []
+        monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
+        m = resolve_method(method)
+        prob = burgers_benchmark(n=10).problem
+        for name in ("f", "g"):
+            def counted(t, y, fn=getattr(prob, name), name=name):
+                before = len(rings)
+                out = fn(t, y)
+                calls.append((name, t, len(rings) - before))
+                return out
+
+            setattr(prob, name, counted)
+        integrator.initialize_external(m, prob, 0.05,
+                                       StartingConfig(scheme=scheme))
+        # g runs only at the r starter nodes, each right after f there,
+        # and reuses the ring f evaluated (or reused) at that node
+        g_at = [k for k, c in enumerate(calls) if c[0] == "g"]
+        assert len(g_at) == m.r
+        for k in g_at:
+            assert calls[k - 1][:2] == ("f", calls[k][1])
+            assert calls[k][2] == 0
 
 
 class TestShiftedLaplacianSolver:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm.stability import (SingularStabilityError, StabilityQuery,
-                               _pair_matrices_batch, _schur_cohn_stable,
+                               _block_charpoly, _pair_blocks,
+                               _pair_charpolys, _pair_matrices_batch,
+                               _schur_cohn_stable,
                                _stability_decider, boundary_intersection,
                                check_irks,
                                check_L_stability, constrained_region_area,
@@ -14,7 +18,11 @@ from imexglm.stability import (SingularStabilityError, StabilityQuery,
                                max_rho_over_stiff_grid,
                                optimize_explicit_component,
                                region_boundary_points, spectral_radius)
+from imexglm.methods import resolve_method
 from imexglm.tableau import imex_dimsim
+
+PARENT = json.loads((Path(__file__).parent / "data"
+                     / "stability_parent.json").read_text())
 
 
 def euler_oracle(w, what):
@@ -174,6 +182,120 @@ class TestSchurCohnDecision:
         Ms = _pair_matrices_batch(dimsim4, ws, grid)
         for k, w in enumerate(ws):
             assert np.array_equal(Ms[k], _pair_matrices_batch(dimsim4, w, grid))
+
+
+def stacked_decisions(m, ws, grid, component):
+    """The decisions of _stability_decider made the direct way: one LAPACK
+    solve per stacked M, then the Schur-Cohn test on each M's
+    characteristic polynomial; also rho per point, for spotting ties."""
+    if component == "implicit":
+        Ms = _pair_matrices_batch(m, 0.0, ws)[:, None]
+    else:
+        Ms = _pair_matrices_batch(m, ws, grid)
+    return _schur_cohn_stable(Ms).all(axis=-1), Ms
+
+
+class TestLinePolynomial:
+    """Decisions from the line polynomials interpolated once per region."""
+
+    @pytest.mark.parametrize("component", ["pair", "explicit", "implicit"])
+    def test_decisions_match_stacked_matrices(self, dimsim4, dimsim5,
+                                              coarse_query, component):
+        rng = np.random.default_rng(2014)
+        random = (rng.uniform(-6.0, 0.5, 3_000)
+                  + 1j * rng.uniform(0.0, 8.0, 3_000))
+        for q in (StabilityQuery(), coarse_query):
+            grid = q.stiff_grid() if component == "pair" else np.zeros(1)
+            for m in (dimsim4, dimsim5):
+                # plus points within tol of the traced boundary
+                b = region_boundary_points(m, coarse_query,
+                                           component=component)
+                near = np.concatenate([b.xs + 1j * b.ys,
+                                       b.xs + 1j * (b.ys + coarse_query.tol)])
+                inside, _ = _stability_decider(m, q, q.alpha, component)
+                n_inside = 0
+                for ws in np.array_split(np.concatenate([random, near]), 12):
+                    got = inside(ws)
+                    want, Ms = stacked_decisions(m, ws, grid, component)
+                    n_inside += want.sum()
+                    # only rounding ties, |rho - 1| <= 1e-12, may differ
+                    rho = np.abs(np.linalg.eigvals(Ms[got != want]))
+                    assert (np.abs(rho.max(axis=-1) - 1.0) <= 1e-12).any(
+                        axis=-1).all()
+                assert 0 < n_inside < random.size + near.size
+
+    def test_block_determinant_matches_scaled_charpoly(self, dimsim4,
+                                                       dimsim5):
+        rng = np.random.default_rng(5)
+        for m in (dimsim4, dimsim5):
+            w = rng.uniform(-3.0, 1.0, 20) + 1j * rng.uniform(0.0, 4.0, 20)
+            what = -rng.uniform(0.0, 100.0, 7) * np.exp(
+                1j * rng.uniform(-1.5, 1.5, 7))
+            E, W = _pair_blocks(m, w, what)
+            got = _block_charpoly(E, np.broadcast_to(W, E.shape[:-2] + W.shape[-2:]),
+                                  m.explicit.U.astype(complex), m.explicit.V)
+            want = _pair_charpolys(m, w, what)
+            scale = np.abs(want).max(axis=-1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-9 * scale).all()
+
+    def test_singular_stiff_point_polynomial(self, coarse_query):
+        # E = 1 + what vanishes at what = -1, so Q = det[[0, -U], [-W, z - V]]
+        # = -U W: no z term, and a singular point decides unstable
+        toy = singular_toy()
+        w = np.array([-0.5, 0.3 + 0.7j])
+        Q = _pair_charpolys(toy, w, [-1.0, -0.5])
+        U, V = toy.explicit.U[0, 0], toy.explicit.V[0, 0]
+        W = w * toy.B[0, 0] - toy.Bhat[0, 0]
+        assert (Q[:, 0, 0] == 0.0).all()
+        assert np.allclose(Q[:, 0, 1], -U * W, rtol=1e-14)
+        M = _pair_matrices_batch(toy, w, [-0.5])[:, 0, 0, 0]
+        assert np.allclose(Q[:, 1], 0.5 * np.stack([np.ones(2), -M], -1),
+                           rtol=1e-14)
+        # with two stages the interpolated z^2 coefficient carries rounding;
+        # it must still read as an exact 0 to be tallied
+        toy2 = imex_dimsim("singular-toy-2", np.array([0.0, 1.0]),
+                           np.zeros((2, 2)),
+                           np.array([[-1.0, 0.0], [0.5, -1.0]]),
+                           np.array([0.5, 0.5]))
+        inside, counts = _stability_decider(toy2, coarse_query,
+                                            coarse_query.alpha, "pair")
+        assert not inside(w).any()
+        assert counts["singular"] == 2
+
+    def test_traces_match_recorded_parent(self, coarse_query):
+        queries = {"default": StabilityQuery(), "coarse": coarse_query}
+        alphas = {"pi/2": math.pi / 2, "pi/3": math.pi / 3,
+                  "pi/4": math.pi / 4}
+        assert len(PARENT["traces"]) == 30
+        for rec in PARENT["traces"]:
+            m = resolve_method(rec["method"])
+            q = queries[rec["query"]]
+            res, b = constrained_region_area(m, q, alpha=alphas[rec["alpha"]],
+                                             component=rec["component"])
+            got = {"area": res.area, "x_b": res.x_b,
+                   "flagged_empty": res.flagged_empty,
+                   "unbounded": res.unbounded, "decisions": res.decisions,
+                   "matrices": res.matrices, "singular": res.singular,
+                   "ys_times_1024": (b.ys * 1024).tolist()}
+            want = {k: v for k, v in rec.items() if k in got}
+            assert got == want, rec
+            assert np.array_equal(b.xs, np.linspace(res.x_b, 0.0, q.n_lines))
+
+    def test_optimizer_matches_recorded_parent(self, dimsim4, coarse_query):
+        rec = PARENT["optimizer"]
+        out = optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
+            budget=rec["budget"], seed_matrix=np.asarray(dimsim4.A),
+            rng_seed=rec["rng_seed"])
+        assert out.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
+        assert (out.area, out.seed_area, out.n_evaluations) == (
+            rec["area"], rec["seed_area"], rec["n_evaluations"])
+        assert (out.decisions, out.matrices, out.singular) == (
+            rec["decisions"], rec["matrices"], rec["singular"])
+        trace = out.best_area_trace
+        assert len(trace) == out.n_evaluations
+        assert trace[0] == out.seed_area and trace[-1] == out.area
+        assert (np.diff(trace) >= 0.0).all()
 
 
 def serial_ordinates(rho, xs, q):
