@@ -152,7 +152,6 @@ def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
     so the point decides unstable and is tallied singular."""
     s, r = m.s, m.r
     E, W = _pair_blocks(m, w, whats)
-    W = np.broadcast_to(W, E.shape[:-2] + (r, s))
     U, V = m.explicit.U.astype(complex), m.explicit.V
     det = np.linalg.det(E)
     ok = det != 0.0
@@ -234,6 +233,7 @@ def _schur_cohn(a: np.ndarray) -> np.ndarray:
     return stable
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
     """rho(M) < 1 for each matrix of a stack (..., r, r), by the
     Schur-Cohn test on its characteristic polynomial."""

@@ -232,8 +232,8 @@ class TestLinePolynomial:
             what = -rng.uniform(0.0, 100.0, 7) * np.exp(
                 1j * rng.uniform(-1.5, 1.5, 7))
             E, W = _pair_blocks(m, w, what)
-            got = _block_charpoly(E, np.broadcast_to(W, E.shape[:-2] + W.shape[-2:]),
-                                  m.explicit.U.astype(complex), m.explicit.V)
+            got = _block_charpoly(E, W, m.explicit.U.astype(complex),
+                                  m.explicit.V)
             want = _pair_charpolys(m, w, what)
             scale = np.abs(want).max(axis=-1, keepdims=True)
             assert (np.abs(got - want) <= 1e-9 * scale).all()
