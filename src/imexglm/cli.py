@@ -38,13 +38,18 @@ def _build_parser() -> _Parser:
                 description="IMEX general linear method toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp, problem=False, steps=False):
+    def common(sp, out=True, problem=False, fmt=False):
+        """Add the options sp reads: every subcommand takes --method; --out
+        where it writes a file, the problem and --steps options for runs on
+        a problem, and --format where the --out file has two formats."""
         sp.add_argument("--method", default="dimsim4",
                         help="dimsim4 | dimsim5 | imex-euler | ark4 | ark5 "
                              "| path to a method file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None, help="output file or directory")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if out:
+            sp.add_argument("--out", default=None, help="output file or directory")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="format of the --out file")
         if problem:
             sp.add_argument("--problem", default="allen-cahn",
                             choices=("allen-cahn", "burgers", "dahlquist"))
@@ -58,21 +63,21 @@ def _build_parser() -> _Parser:
                             help="starting micro-step as a fraction of h")
             sp.add_argument("--starter", default="auto",
                             help="auto | imex-euler | path to an ARK file")
-        if steps:
             sp.add_argument("--steps", default="25,50,100,200",
                             help="comma-separated step counts")
 
-    common(sub.add_parser("validate-method", help="run tableau checks"))
+    common(sub.add_parser("validate-method", help="run tableau checks"), out=False)
     common(sub.add_parser("integrate", help="single integration run"),
-           problem=True, steps=True)
+           problem=True)
     common(sub.add_parser("converge", help="convergence study"),
-           problem=True, steps=True)
+           problem=True, fmt=True)
     common(sub.add_parser("work-precision", help="timed accuracy study"),
-           problem=True, steps=True)
+           problem=True, fmt=True)
     common(sub.add_parser("stability", help="export stability-region files"))
     sp = sub.add_parser("optimize-explicit",
                         help="search explicit coefficients for pair area")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="optimizer rng seed")
     sp.add_argument("--budget", type=int, default=2000,
                     help="stability-area evaluation budget")
     return p

@@ -14,7 +14,10 @@ is constant for this method class, and each stage evaluates the forcing b
 once for both the solve and G_i = J Y_i + b.  The solver comes from the
 problem's stiff_solver factory when it has one (the fast-diagonalization
 Laplacian solve of both PDE benchmarks); otherwise I - h*lambda*J is
-factored, by SuperLU for sparse J and LAPACK LU for dense J.
+factored, by SuperLU for sparse J and LAPACK LU for dense J.  SuperLU and
+LAPACK (scipy.sparse.linalg, scipy.linalg) are imported on the first
+factorization, so a run whose solves all come from stiff_solver never
+loads them.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import splu
 
 from .methods import ImexRkMethod, load_ark_method
 from .tableau import ImexGlmMethod
@@ -180,7 +180,14 @@ class StiffSolverCache:
         return self._fact[key]
 
 
+def splu(A, **options):
+    """scipy.sparse.linalg.splu, imported on the first sparse factorization."""
+    from scipy.sparse.linalg import splu
+    return splu(A, **options)
+
+
 def _factorize(J, gamma: float, d: int):
+    from scipy import sparse
     if sparse.issparse(J):
         M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
         try:
@@ -190,6 +197,7 @@ def _factorize(J, gamma: float, d: int):
         except RuntimeError as exc:
             raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
         return lu.solve
+    from scipy.linalg import lu_factor, lu_solve
     M = np.eye(d) - gamma * np.asarray(J)
     try:
         fact = lu_factor(M)

@@ -10,7 +10,8 @@ stiff_forcing.  J is a multiple of the five-point Dirichlet Laplacian,
 which the 1D sine basis diagonalizes exactly, so each problem also gives
 stiff_solver (shifted_laplacian_solver): a diagonally implicit stage solve
 (I - gamma*J) y = r costs four small dense matmuls and one diagonal scaling
-per stage, with nothing to factor.
+per stage, with nothing to factor.  scipy.sparse, which holds J and
+Burgers' difference operators, is imported on the first assembly.
 
 The boundary data is evaluated in one vectorized call over the ring of
 4(n-1) boundary nodes next to the interior (Grid2D.ring), and one scatter
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .integrator import SemiDiscreteProblem, StageSolveError
 
@@ -106,15 +106,17 @@ class Grid2D:
                 k += 1
 
 
-def _second_difference(n: int) -> sparse.csr_matrix:
+def _second_difference(n: int):
+    from scipy import sparse
     m = n - 1
     return sparse.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
                         offsets=[-1, 0, 1], format="csr")
 
 
-def five_point_laplacian(grid: Grid2D) -> sparse.csr_matrix:
-    """Interior five-point Laplacian, Dirichlet terms excluded (they enter
-    through Grid2D.scatter_ring)."""
+def five_point_laplacian(grid: Grid2D):
+    """Interior five-point Laplacian as a CSR matrix, Dirichlet terms
+    excluded (they enter through Grid2D.scatter_ring)."""
+    from scipy import sparse
     m = grid.n - 1
     D2 = _second_difference(grid.n)
     I = sparse.identity(m, format="csr")
@@ -158,6 +160,7 @@ def shifted_laplacian_solver(grid: Grid2D, coef: float):
 def _central_difference_x(grid: Grid2D):
     """Sparse second-order central d/dx and d/dy on the flattened field; the
     boundary closure is added by Grid2D.scatter_ring."""
+    from scipy import sparse
     m = grid.n - 1
     D1 = sparse.diags([-np.ones(m - 1), np.ones(m - 1)], offsets=[-1, 1], format="csr")
     I = sparse.identity(m, format="csr")
@@ -211,7 +214,7 @@ def _allen_cahn_fields(alpha: float, beta: float):
         SP = S * P
         uu = 2.0 + SP
         return (-2 * np.pi * C * P + 3 * np.pi * S * Q
-                + 13.0 * np.pi ** 2 * alpha * SP - beta * (uu - uu ** 3))
+                + 13.0 * np.pi ** 2 * alpha * SP - beta * (uu - uu * uu * uu))
 
     return u, source
 
@@ -235,7 +238,7 @@ def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
     forcing_scale = alpha / grid.dx ** 2
 
     def f(t, v):
-        return beta * (v - v ** 3) + source_at(t)
+        return beta * (v - v * v * v) + source_at(t)
 
     prob = SemiDiscreteProblem(
         name=f"allen-cahn-n{n}", d=grid.m, t0=0.0, tF=t_final,

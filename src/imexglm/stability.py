@@ -25,6 +25,9 @@ coefficients are interpolated once per region; a decision evaluates them
 at every v with one matmul and runs the Schur-Cohn test on the resulting
 polynomials in z.  Points where E is singular, so that the leading
 coefficient det(E) vanishes, count as unstable.
+
+All of this is numpy alone; only optimize_explicit_component imports
+scipy.optimize, on its first call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .tableau import (
     GlmTableau,
@@ -608,6 +610,7 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     conditions.  The seed (when given) is evaluated first and the result
     never falls below it.  Deterministic for a fixed rng_seed.
     """
+    from scipy.optimize import differential_evolution, minimize
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
     c = np.asarray(c, dtype=float)
@@ -669,7 +672,7 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     rng = np.random.default_rng(rng_seed)
 
     def polish(params, maxfev):
-        _sciopt.minimize(
+        minimize(
             lambda p: -area_of(p), params, method="Nelder-Mead",
             options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-5},
         )
@@ -700,7 +703,7 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         # large enough to contain known good tableaus, then local polish
         de_budget = max(int(budget * 0.8), 8 * n_free)
         generations = max(1, de_budget // (8 * n_free) - 1)
-        _sciopt.differential_evolution(
+        differential_evolution(
             lambda p: -area_of(p), bounds=[(-3.5, 3.5)] * n_free,
             seed=rng_seed, popsize=8, maxiter=generations, tol=1e-8,
             mutation=(0.3, 1.2), recombination=0.8, init="sobol",

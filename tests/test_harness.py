@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import imexglm.harness as harness
-from imexglm.cli import cli_main
+from imexglm.cli import _build_parser, cli_main
 from imexglm.harness import (STABILITY_ALPHAS, ConvergenceStudy, StudySpec,
                              _ReferenceCache, build_problem, emit_stability,
                              run_convergence, run_workprecision,
@@ -276,6 +276,35 @@ class TestCli:
         trace = payload["best_area_trace"]
         assert len(trace) == payload["n_evaluations"]
         assert trace[0] == payload["seed_area"] and trace[-1] == payload["area"]
+
+    # the options each subcommand reads, beyond --method
+    READS = {
+        "validate-method": set(),
+        "integrate": {"out", "problem", "steps"},
+        "converge": {"out", "problem", "steps", "format"},
+        "work-precision": {"out", "problem", "steps", "format"},
+        "stability": {"out"},
+        "optimize-explicit": {"out", "seed", "budget"},
+    }
+    PROBLEM = {"problem": "burgers", "grid-n": "10", "alpha": "0.1",
+               "n-ref": "100", "tau-ratio": "0.5", "starter": "auto"}
+    VALUES = dict(PROBLEM, out="x", steps="10", format="json", seed="1",
+                  budget="3")
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_each_subcommand_takes_exactly_the_options_it_reads(self, command):
+        reads = self.READS[command] | {"method"}
+        if "problem" in reads:
+            reads |= set(self.PROBLEM)
+        argv = [command]
+        for opt in sorted(reads):
+            argv += [f"--{opt}", self.VALUES.get(opt, "dimsim4")]
+        args = vars(_build_parser().parse_args(argv))
+        assert set(args) - {"command"} == {o.replace("-", "_") for o in reads}
+        for opt in sorted(set(self.VALUES) - reads):
+            with pytest.raises(SystemExit) as info:
+                _build_parser().parse_args([command, f"--{opt}", self.VALUES[opt]])
+            assert info.value.code == 64
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
