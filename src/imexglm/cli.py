@@ -38,10 +38,8 @@ def _build_parser() -> _Parser:
                 description="IMEX general linear method toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # each subcommand is offered only the options it reads
     def common(sp, out=True, problem=False, fmt=False):
-        """Add the options sp reads: every subcommand takes --method; --out
-        where it writes a file, the problem and --steps options for runs on
-        a problem, and --format where the --out file has two formats."""
         sp.add_argument("--method", default="dimsim4",
                         help="dimsim4 | dimsim5 | imex-euler | ark4 | ark5 "
                              "| path to a method file")
