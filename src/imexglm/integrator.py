@@ -7,17 +7,32 @@ through s stages
     Y_i = h sum_{j<i} a_ij f(Y_j) + h sum_{j<=i} ahat_ij g(Y_j) + sum_j u_ij y_j,
     y_i^[n] = h sum_j (b_ij f(Y_j) + bhat_ij g(Y_j)) + sum_j v_ij y_j,
 
-with f/g evaluated at t + c_i h.  A linear stiff part g = J y + b(t) is
-given once, as (stiff_matrix, stiff_forcing); its diagonally implicit
-stage solves then share one solver of I - h*lambda*J, since the diagonal
-is constant for this method class, and each stage evaluates the forcing b
-once for both the solve and G_i = J Y_i + b.  The solver comes from the
-problem's stiff_solver factory when it has one (the fast-diagonalization
-Laplacian solve of both PDE benchmarks); otherwise I - h*lambda*J is
-factored, by SuperLU for sparse J and LAPACK LU for dense J.  SuperLU and
+with f/g evaluated at t + c_i h.  This is one partitioned product, and an
+additive RK pair is the same product with r = 1, U = 1, V = 1 and the
+weight vectors as B and Bhat, so glm_step and ark_step share one stage
+sweep over a per-step work array
+
+    W = [y_1, ..., y_r, F_1, G_1, F_2, G_2, ..., F_s, G_s]    (r + 2s rows),
+
+F_j = f(Y_j), G_j = g(Y_j).  Stage i reads the contiguous rows before F_i,
+W[:r+2(i-1)]: its right-hand side is one product of the coefficient row
+[u_i1 .. u_ir, h a_i1, h ahat_i1, .., h a_i,i-1, h ahat_i,i-1] with them,
+and the update is one product [V | h B, h Bhat interleaved] @ W.  The
+coefficient rows depend only on (method, h) and are built once per run
+(StiffSolverCache.stage_rows).
+
+A linear stiff part g = J y + b(t) is given once, as (stiff_matrix,
+stiff_forcing); its diagonally implicit stage solves then share one
+solver of I - h*lambda*J, since the diagonal is constant for this method
+class, and each stage evaluates the forcing b once for both the solve and
+G_i = J Y_i + b.  The solver comes from the problem's stiff_solver factory
+when it has one (the fast-diagonalization Laplacian solve of both PDE
+benchmarks); otherwise I - h*lambda*J is factored, by SuperLU for sparse
+J and LAPACK LU for dense J.  SuperLU and
 LAPACK (scipy.sparse.linalg, scipy.linalg) are imported on the first
-factorization, so a run whose solves all come from stiff_solver never
-loads them.
+factorization, and scipy.sparse only for a J that is not a numpy array,
+so a run whose solves all come from stiff_solver never loads the solvers
+and a dense run never loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -153,22 +168,54 @@ def imex_euler_ark() -> ImexRkMethod:
 
 
 # ---------------------------------------------------------------------------
-# implicit stage solves
+# stage coefficient rows and implicit stage solves
+
+class StageRows(NamedTuple):
+    """Coefficient rows of one (method, h) for the stage sweep over
+    W = [y_1..y_r, F_1, G_1, ..., F_s, G_s] (see the module docstring)."""
+
+    stage: tuple        # s rows; row i: [U_i | h a_ij, h ahat_ij for j < i]
+    update: np.ndarray  # (r, r + 2s): [V | h B, h Bhat interleaved]
+    gamma: tuple        # h * ahat_ii, the stage solves' shifts
+    dt: tuple           # c_i * h, the stage time offsets
+
+
+def stage_rows(m: ImexGlmMethod | ImexRkMethod, h: float) -> StageRows:
+    """Build the StageRows of a GLM, or of an additive RK pair read as a
+    GLM with r = 1, U = 1, V = 1 and the weight vectors as B and Bhat."""
+    if isinstance(m, ImexRkMethod):
+        U, V = np.ones((m.sigma, 1)), np.ones((1, 1))
+        A, Ah = m.A_explicit, m.A_implicit
+        B, Bh = m.b_explicit[None, :], m.b_implicit[None, :]
+    else:
+        U, V, A, Ah, B, Bh = m.explicit.U, m.explicit.V, m.A, m.Ahat, m.B, m.Bhat
+    s, r = U.shape
+    C = np.zeros((s, r + 2 * s))
+    C[:, :r], C[:, r::2], C[:, r + 1::2] = U, h * A, h * Ah
+    update = np.empty((r, r + 2 * s))
+    update[:, :r], update[:, r::2], update[:, r + 1::2] = V, h * B, h * Bh
+    return StageRows(stage=tuple(C[i, :r + 2 * i] for i in range(s)),
+                     update=update,
+                     gamma=tuple(h * float(Ah[i, i]) for i in range(s)),
+                     dt=tuple(float(c) * h for c in m.c))
+
 
 class StiffSolverCache:
-    """Solver reuse for linear stage solves.
+    """Per-run reuse of stage solvers and stage coefficient rows.
 
     For linear g the iteration matrix I - gamma*J is constant in time, so
     one solver per distinct gamma = h*ahat_ii serves every stage of every
     step (the DIMSIM diagonal is constant, giving a single gamma per run).
     The solver is the problem's stiff_solver(gamma) when it has one;
     otherwise I - gamma*J is factored, dense matrices by LAPACK LU and
-    sparse ones by SuperLU.
+    sparse ones by SuperLU.  The StageRows of each (method, h) are built
+    on first use too.
     """
 
     def __init__(self, prob: SemiDiscreteProblem):
         self.prob = prob
         self._fact = {}
+        self._rows = {}
 
     def factorization(self, gamma: float):
         key = float(gamma)
@@ -179,6 +226,13 @@ class StiffSolverCache:
                                else prob.stiff_solver(gamma))
         return self._fact[key]
 
+    def stage_rows(self, m, h: float) -> StageRows:
+        # keyed on id(m); the entry holds m, so the id cannot be reused
+        key = (id(m), float(h))
+        if key not in self._rows:
+            self._rows[key] = (m, stage_rows(m, h))
+        return self._rows[key][1]
+
 
 def splu(A, **options):
     """scipy.sparse.linalg.splu, imported on the first sparse factorization."""
@@ -187,16 +241,17 @@ def splu(A, **options):
 
 
 def _factorize(J, gamma: float, d: int):
-    from scipy import sparse
-    if sparse.issparse(J):
-        M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
-        try:
-            # minimum degree on A^T + A suits the structurally symmetric
-            # stencils better than the default COLAMD
-            lu = splu(M, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
-        return lu.solve
+    if not isinstance(J, np.ndarray):
+        from scipy import sparse
+        if sparse.issparse(J):
+            M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
+            try:
+                # minimum degree on A^T + A suits the structurally symmetric
+                # stencils better than the default COLAMD
+                lu = splu(M, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
+            return lu.solve
     from scipy.linalg import lu_factor, lu_solve
     M = np.eye(d) - gamma * np.asarray(J)
     try:
@@ -223,11 +278,17 @@ def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
                                 stage_index)
         else:
             solve = cache.factorization(gamma)
-            rhs = np.asarray(solve(rhs if b is None else rhs + gamma * b))
+            if b is not None:
+                gb = gamma * b
+                gb += rhs
+                rhs = gb
+            rhs = np.asarray(solve(rhs))
     if J is None:
         return rhs, prob.g(t_stage, rhs)
     G = J @ rhs
-    return rhs, (G if b is None else G + b)
+    if b is not None:
+        G += b
+    return rhs, G
 
 
 def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
@@ -263,7 +324,20 @@ def solve_stage(i, rhs, m: ImexGlmMethod, prob, t, h,
 
 
 # ---------------------------------------------------------------------------
-# the GLM step
+# the stage sweep shared by GLM and additive-RK steps
+
+def _sweep(rows: StageRows, W, prob, t, cfg, cache):
+    """Fill the F and G rows of the work array W stage by stage (W[:r]
+    holds the incoming blocks) and return the last stage value."""
+    Y = W[0]
+    for i, coef in enumerate(rows.stage):
+        k = coef.size      # r + 2i: stage i reads W[:k] and writes F, G at k
+        t_i = t + rows.dt[i]
+        Y, W[k + 1] = _stage(rows.gamma[i], coef @ W[:k], prob, t_i, cfg,
+                             cache, predictor=Y, stage_index=i)
+        W[k] = prob.f(t_i, Y)
+    return Y
+
 
 def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem, state: ExternalState,
              cfg: StageSolveConfig | None = None,
@@ -273,22 +347,13 @@ def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem, state: ExternalState,
         raise ValueError(f"state has {state.r} blocks, method wants {m.r}")
     cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
-    s, h, t = m.s, state.h, state.t
-    A, Ah = m.A, m.Ahat
-    F = np.empty((s, prob.d))
-    G = np.empty((s, prob.d))
-    Uy = m.explicit.U @ state.blocks   # (s, d)
-
-    Y = state.blocks[0]
-    for i in range(s):
-        rhs = Uy[i] + h * (A[i, :i] @ F[:i] + Ah[i, :i] @ G[:i])
-        t_i = t + float(m.c[i]) * h
-        Y, G[i] = _stage(h * float(Ah[i, i]), rhs, prob, t_i, cfg, cache,
-                         predictor=Y, stage_index=i)
-        F[i] = prob.f(t_i, Y)
-
-    new_blocks = h * (m.B @ F + m.Bhat @ G) + m.explicit.V @ state.blocks
-    return ExternalState(t=t + h, h=h, blocks=new_blocks, last_stage=Y.copy())
+    h, r = state.h, m.r
+    rows = cache.stage_rows(m, h)
+    W = np.empty((r + 2 * m.s, prob.d))
+    W[:r] = state.blocks
+    Y = _sweep(rows, W, prob, state.t, cfg, cache)
+    return ExternalState(t=state.t + h, h=h, blocks=rows.update @ W,
+                         last_stage=Y)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +500,11 @@ def ark_step(mrk: ImexRkMethod, prob: SemiDiscreteProblem, y, t, h,
     """One additive-RK step from (t, y) to t + h."""
     cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
-    sig = mrk.sigma
-    Ae, Ai = mrk.A_explicit, mrk.A_implicit
-    F = np.empty((sig, prob.d))
-    G = np.empty((sig, prob.d))
-    y = np.asarray(y, dtype=float)
-    Y = y
-    for i in range(sig):
-        rhs = y + h * (Ae[i, :i] @ F[:i] + Ai[i, :i] @ G[:i])
-        t_i = t + float(mrk.c[i]) * h
-        Y, G[i] = _stage(h * float(Ai[i, i]), rhs, prob, t_i, cfg, cache,
-                         predictor=Y, stage_index=i)
-        F[i] = prob.f(t_i, Y)
-    out = y + h * (mrk.b_explicit @ F + mrk.b_implicit @ G)
+    rows = cache.stage_rows(mrk, h)
+    W = np.empty((1 + 2 * mrk.sigma, prob.d))
+    W[0] = y
+    _sweep(rows, W, prob, t, cfg, cache)
+    out = rows.update[0] @ W
     if not np.isfinite(out).all():
         raise IntegrationError(f"non-finite additive-RK update at t={t}")
     return out

@@ -2,8 +2,9 @@
 
 `import imexglm` and the stability-area and validation paths use numpy
 alone; scipy.sparse loads with the first PDE assembly, scipy.linalg with
-the first LU factorization, scipy.optimize with the optimizer.  Checked
-in one fresh interpreter, since the test process has scipy loaded.
+the first LU factorization (scipy.sparse only for a sparse matrix),
+scipy.optimize with the optimizer.  Checked in fresh interpreters, since
+the test process has scipy loaded.
 """
 
 import json
@@ -59,3 +60,23 @@ def test_scipy_modules_load_on_first_use():
     assert "scipy.linalg" in seen["dahlquist"]
     assert "scipy.optimize" not in seen["dahlquist"]
     assert "scipy.optimize" in seen["optimize"]
+
+
+_DENSE_SCRIPT = r"""
+import json, sys
+from imexglm import dahlquist_split_problem, integrate, resolve_method
+integrate(resolve_method("dimsim4"), dahlquist_split_problem(-1.0, -50.0), 10)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_dense_factorization_loads_no_sparse_module():
+    # a dense stiff matrix is factored by LAPACK alone; run in its own
+    # interpreter, since the burgers run above loads scipy.sparse first
+    env = dict(os.environ, PYTHONPATH=str(Path(imexglm.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _DENSE_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = set(json.loads(out.stdout))
+    assert "scipy.linalg" in seen
+    assert not {m for m in seen if m.startswith("scipy.sparse")}

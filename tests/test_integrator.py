@@ -409,6 +409,131 @@ def _m4():
     return load_ark_method(bundled_ark_path(4))
 
 
+def two_product_glm_step(m, prob, state):
+    """glm_step written as U y plus separate A and Ahat products per stage;
+    returns (blocks, last stage)."""
+    h, t, s = state.h, state.t, m.s
+    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    F, G = np.zeros((s, prob.d)), np.zeros((s, prob.d))
+    Uy = m.explicit.U @ state.blocks
+    for i in range(s):
+        rhs = Uy[i] + h * (m.A[i, :i] @ F[:i] + m.Ahat[i, :i] @ G[:i])
+        t_i = t + float(m.c[i]) * h
+        Y, _ = integrator._stage(h * m.Ahat[i, i], rhs, prob, t_i, cfg, cache)
+        F[i], G[i] = prob.f(t_i, Y), prob.g(t_i, Y)
+    return h * (m.B @ F + m.Bhat @ G) + m.explicit.V @ state.blocks, Y
+
+
+def two_product_ark_step(mrk, prob, y, t, h):
+    sig = mrk.sigma
+    Ae, Ai = mrk.A_explicit, mrk.A_implicit
+    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    F, G = np.zeros((sig, prob.d)), np.zeros((sig, prob.d))
+    for i in range(sig):
+        rhs = y + h * (Ae[i, :i] @ F[:i] + Ai[i, :i] @ G[:i])
+        t_i = t + float(mrk.c[i]) * h
+        Y, _ = integrator._stage(h * Ai[i, i], rhs, prob, t_i, cfg, cache)
+        F[i], G[i] = prob.f(t_i, Y), prob.g(t_i, Y)
+    return y + h * (mrk.b_explicit @ F + mrk.b_implicit @ G)
+
+
+KERNEL_PROBLEMS = {
+    "allen-cahn-n8": lambda: allen_cahn_benchmark(n=8).problem,
+    "dahlquist-complex": lambda: dahlquist_split_problem(-1.0 + 2.0j, -20.0 + 5.0j),
+}
+
+
+def close(got, want, rel=1e-13):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+class TestStageKernel:
+    @pytest.mark.parametrize("problem", KERNEL_PROBLEMS)
+    def test_glm_step_matches_two_product_loop(self, problem, dimsim4, dimsim5,
+                                               euler_glm):
+        for m in (dimsim4, dimsim5, euler_glm):
+            prob = KERNEL_PROBLEMS[problem]()
+            state = initialize_external(m, prob, 0.01)
+            for _ in range(3):
+                want, want_Y = two_product_glm_step(m, prob, state)
+                state = glm_step(m, prob, state)
+                assert close(state.blocks, want) and close(state.last_stage, want_Y)
+
+    @pytest.mark.parametrize("problem", KERNEL_PROBLEMS)
+    @pytest.mark.parametrize("mrk", [_m4(), imex_euler_ark()],
+                             ids=["ark4", "imex-euler"])
+    def test_ark_step_matches_two_product_loop(self, problem, mrk):
+        # ark4's first stage is explicit (gamma = 0)
+        assert mrk.A_implicit[0, 0] == 0.0
+        prob = KERNEL_PROBLEMS[problem]()
+        y, t, h = prob.y0, 0.0, 0.01
+        for _ in range(3):
+            want = two_product_ark_step(mrk, prob, y, t, h)
+            y, t = ark_step(mrk, prob, y, t, h), t + h
+            assert close(y, want)
+
+    @pytest.mark.parametrize("h", [1.0, 0.37])
+    def test_rows_reproduce_the_coefficients(self, h, dimsim4, dimsim5):
+        # at h = 1 the rows hold the coefficients themselves
+        same = np.array_equal if h == 1.0 else (
+            lambda a, b: np.allclose(a, b, rtol=1e-15, atol=0))
+        for m in (dimsim4, dimsim5, _m4()):
+            rows = integrator.stage_rows(m, h)
+            if isinstance(m, ImexRkMethod):
+                U, V = np.ones((m.sigma, 1)), np.ones((1, 1))
+                A, Ah, B, Bh = (m.A_explicit, m.A_implicit,
+                                m.b_explicit[None, :], m.b_implicit[None, :])
+            else:
+                U, V, A, Ah, B, Bh = (m.explicit.U, m.explicit.V, m.A, m.Ahat,
+                                      m.B, m.Bhat)
+            s, r = U.shape
+            assert len(rows.stage) == s and rows.update.shape == (r, r + 2 * s)
+            for i, row in enumerate(rows.stage):
+                assert row.shape == (r + 2 * i,)
+                assert np.array_equal(row[:r], U[i])
+                assert same(row[r::2] / h, A[i, :i])
+                assert same(row[r + 1::2] / h, Ah[i, :i])
+            assert np.array_equal(rows.update[:, :r], V)
+            assert same(rows.update[:, r::2] / h, B)
+            assert same(rows.update[:, r + 1::2] / h, Bh)
+            assert rows.gamma == tuple(h * float(a) for a in np.diag(Ah))
+            assert rows.dt == tuple(float(c) * h for c in m.c)
+
+    def test_rows_built_once_per_method_and_step_size(self, dimsim4,
+                                                      monkeypatch):
+        built = []
+        build = integrator.stage_rows
+
+        def counted(m, h):
+            built.append((m.name, h))
+            return build(m, h)
+
+        monkeypatch.setattr(integrator, "stage_rows", counted)
+        integrate(dimsim4, dahlquist_split_problem(-1.0, -5.0), 20)
+        # the starter's imex-euler micro-steps at tau = h/2, then the steps
+        assert built == [("imex-euler-ark", 0.025), (dimsim4.name, 0.05)]
+
+    def test_nonfinite_stage_rhs_raises(self, dimsim4):
+        # F_1 = inf reaches stage 2's right-hand side
+        prob = SemiDiscreteProblem(
+            name="inf-f", d=1, t0=0.0, tF=1.0, y0=np.array([1.0]),
+            f=lambda t, y: np.array([np.inf]), stiff_matrix=np.array([[-1.0]]))
+        state = initialize_external(dimsim4, dahlquist_split_problem(0.0, -1.0), 0.1)
+        with pytest.raises(StageSolveError, match="non-finite stage") as info:
+            glm_step(dimsim4, prob, state)
+        assert info.value.stage == 1
+
+    def test_nonfinite_ark_update_raises(self):
+        # every classical RK4 stage is explicit, so only the update check sees it
+        prob = SemiDiscreteProblem(
+            name="inf-f", d=1, t0=0.0, tF=1.0, y0=np.array([1.0]),
+            f=lambda t, y: np.array([np.inf]), stiff_matrix=np.zeros((1, 1)))
+        with pytest.raises(IntegrationError, match="non-finite additive-RK update"):
+            ark_step(classical_rk4(), prob, prob.y0, 0.0, 0.1)
+        with pytest.raises(IntegrationError, match=r"step 1/4"):
+            ark_integrate(classical_rk4(), prob, 4)
+
+
 def observed_order(m_or_rk, prob, steps, start=None):
     errs = []
     for N in steps:

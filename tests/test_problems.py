@@ -226,6 +226,23 @@ class TestBoundaryRing:
         want = side_flux_closure(bench.grid, bench.boundary_value, t)
         assert relative(got, want) <= 1e-15
 
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_burgers_f_bitwise_matches_unfolded_formula(self, n):
+        # f with -1/2 applied last, as -0.5 * (D (v^2) + closure); folding
+        # the power of two into D and the closure scale changes no bits
+        bench = burgers_benchmark(n=n)
+        grid, prob = bench.grid, bench.problem
+        Dx, Dy = problems._central_difference_x(grid)
+        D = (Dx + Dy).tocsr()
+        signs = np.repeat([-1.0, 1.0, -1.0, 1.0], n - 1)
+        rng = np.random.default_rng(5)
+        for t in (0.0, 0.137, 0.5):
+            ring = grid.ring(bench.boundary_value, t)
+            closure = grid.scatter_ring(signs * ring ** 2, 1.0 / (2.0 * grid.dx))
+            for v in (prob.exact(t), rng.uniform(-2.0, 2.0, prob.d)):
+                want = -0.5 * (D @ (v ** 2) + closure)
+                assert np.array_equal(prob.f(t, v), want)
+
 
 class TestAllenCahnSource:
     @pytest.mark.parametrize("alpha, beta", [(0.01, 3.0), (1.0, 3.0), (0.1, 0.5)])
