@@ -28,11 +28,11 @@ class, and each stage evaluates the forcing b once for both the solve and
 G_i = J Y_i + b.  The solver comes from the problem's stiff_solver factory
 when it has one (the fast-diagonalization Laplacian solve of both PDE
 benchmarks); otherwise I - h*lambda*J is factored, by SuperLU for sparse
-J and LAPACK LU for dense J.  SuperLU and
-LAPACK (scipy.sparse.linalg, scipy.linalg) are imported on the first
-factorization, and scipy.sparse only for a J that is not a numpy array,
-so a run whose solves all come from stiff_solver never loads the solvers
-and a dense run never loads scipy.sparse.
+J and LAPACK LU for dense J.  SuperLU and LAPACK (scipy.sparse.linalg,
+scipy.linalg) are imported on the first factorization, and scipy.sparse
+only for a J that is not a numpy array, so a run whose solves all come
+from stiff_solver never loads the solvers and a dense run never loads
+scipy.sparse.
 """
 
 from __future__ import annotations
