@@ -25,14 +25,16 @@ A linear stiff part g = J y + b(t) is given once, as (stiff_matrix,
 stiff_forcing); its diagonally implicit stage solves then share one
 solver of I - h*lambda*J, since the diagonal is constant for this method
 class, and each stage evaluates the forcing b once for both the solve and
-G_i = J Y_i + b.  The solver comes from the problem's stiff_solver factory
-when it has one (the fast-diagonalization Laplacian solve of both PDE
-benchmarks); otherwise I - h*lambda*J is factored, by SuperLU for sparse
-J and LAPACK LU for dense J.  SuperLU and LAPACK (scipy.sparse.linalg,
-scipy.linalg) are imported on the first factorization, and scipy.sparse
-only for a J that is not a numpy array, so a run whose solves all come
-from stiff_solver never loads the solvers and a dense run never loads
-scipy.sparse.
+G_i = J Y_i + b.  J may be a dense numpy array, a scipy.sparse matrix, or
+an operator with @ and tocsc() (problems.KroneckerSum, the PDE benchmarks'
+Laplacian).  The solver comes from the problem's stiff_solver factory when
+it has one (the fast-diagonalization Laplacian solve of both PDE
+benchmarks); otherwise I - h*lambda*J is factored, by SuperLU for a J with
+tocsc() and LAPACK LU for dense J.  SuperLU and LAPACK
+(scipy.sparse.linalg, scipy.linalg) are imported on the first
+factorization, and scipy.sparse only for a J with tocsc(), so a run whose
+solves all come from stiff_solver loads no scipy module and a dense run
+never loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -67,11 +69,13 @@ class IntegrationError(RuntimeError):
 class SemiDiscreteProblem:
     """Split ODE system y' = f(t, y) + g(t, y), f nonstiff and g stiff.
 
-    A linear stiff part g = J y + b(t) is given as stiff_matrix J (dense or
-    sparse, constant) and stiff_forcing(t) -> b(t), or None for b = 0; g and
-    g_jacobian are then built from them; stiff_solver, if given, maps gamma
-    to a solve of (I - gamma*J) y = r and stands in for factoring that
-    matrix.  A nonlinear g is given as g and g_jacobian(t, y) instead.
+    A linear stiff part g = J y + b(t) is given as stiff_matrix J (constant:
+    a dense array, a scipy.sparse matrix, or an operator with @ and tocsc(),
+    such as problems.KroneckerSum) and stiff_forcing(t) -> b(t), or None for
+    b = 0; g and g_jacobian are then built from them; stiff_solver, if
+    given, maps gamma to a solve of (I - gamma*J) y = r and stands in for
+    factoring that matrix.  A nonlinear g is given as g and g_jacobian(t, y)
+    instead.
     """
 
     name: str
@@ -208,8 +212,8 @@ class StiffSolverCache:
     step (the DIMSIM diagonal is constant, giving a single gamma per run).
     The solver is the problem's stiff_solver(gamma) when it has one;
     otherwise I - gamma*J is factored, dense matrices by LAPACK LU and
-    sparse ones by SuperLU.  The StageRows of each (method, h) are built
-    on first use too.
+    sparse ones or operators (through J.tocsc()) by SuperLU.  The StageRows
+    of each (method, h) are built on first use too.
     """
 
     def __init__(self, prob: SemiDiscreteProblem):
@@ -241,17 +245,18 @@ def splu(A, **options):
 
 
 def _factorize(J, gamma: float, d: int):
-    if not isinstance(J, np.ndarray):
+    if hasattr(J, "tocsc"):
+        # a scipy.sparse J, or an operator that assembles one
+        # (problems.KroneckerSum)
         from scipy import sparse
-        if sparse.issparse(J):
-            M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
-            try:
-                # minimum degree on A^T + A suits the structurally symmetric
-                # stencils better than the default COLAMD
-                lu = splu(M, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
-            return lu.solve
+        M = (sparse.identity(d, format="csc") - gamma * J.tocsc()).tocsc()
+        try:
+            # minimum degree on A^T + A suits the structurally symmetric
+            # stencils better than the default COLAMD
+            lu = splu(M, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise StageSolveError(f"singular iteration matrix (gamma={gamma})") from exc
+        return lu.solve
     from scipy.linalg import lu_factor, lu_solve
     M = np.eye(d) - gamma * np.asarray(J)
     try:
@@ -291,15 +296,30 @@ def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
     return rhs, G
 
 
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
+
+
 def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
-    """Modified Newton for nonlinear g, J frozen at the stage predictor."""
-    tol = cfg.newton_tol * max(1.0, float(np.linalg.norm(rhs)))
+    """Modified Newton for nonlinear g, J frozen at the stage predictor.
+
+    The residual y - gamma g(y) - rhs is accepted at newton_tol *
+    max(1, |rhs|), or at its rounding floor if that is larger.  The floor
+    is set by the terms that cancel inside gamma g(y) near the solution,
+    of size |gamma J y| (for a linear g = J y + b exactly so): on a very
+    stiff g it exceeds newton_tol * |rhs|, although |gamma g(y)| =
+    |y - rhs| stays small.  On the nonlinear Prothero-Robinson problem
+    (lambda = -1e2 .. -1e8) the floor stays below eps |gamma J y|; the
+    test allows 8 eps |gamma J y|."""
     y = np.array(rhs if predictor is None else predictor, dtype=float)
-    solve = _factorize(prob.g_jacobian(t_stage, y), gamma, prob.d)
+    J = prob.g_jacobian(t_stage, y)
+    solve = _factorize(J, gamma, prob.d)
+    rhs_tol = cfg.newton_tol * max(1.0, float(np.linalg.norm(rhs)))
     res_norm = np.inf
     for _ in range(cfg.max_newton):
         res = y - gamma * prob.g(t_stage, y) - rhs
         res_norm = float(np.linalg.norm(res))
+        tol = max(rhs_tol,
+                  _ROUNDING_FLOOR * abs(gamma) * float(np.linalg.norm(J @ y)))
         if not np.isfinite(res_norm):
             raise StageSolveError("Newton iteration diverged (non-finite residual)",
                                   stage=stage_index, residual=res_norm)

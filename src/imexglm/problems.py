@@ -5,13 +5,20 @@ Both PDEs are discretized with second-order central differences on a
 uniform interior grid, boundary values injected from the known analytic
 solution at whatever time the right-hand side is evaluated.  The stiff
 split part is diffusion, linear g = J y + b(t): each problem gives the
-constant sparse J as stiff_matrix and the Dirichlet boundary term b as
+constant J as stiff_matrix and the Dirichlet boundary term b as
 stiff_forcing.  J is a multiple of the five-point Dirichlet Laplacian,
 which the 1D sine basis diagonalizes exactly, so each problem also gives
 stiff_solver (shifted_laplacian_solver): a diagonally implicit stage solve
 (I - gamma*J) y = r costs four small dense matmuls and one diagonal scaling
-per stage, with nothing to factor.  scipy.sparse, which holds J and
-Burgers' difference operators, is imported on the first assembly.
+per stage, with nothing to factor.
+
+The Laplacian and Burgers' central-difference divergence are sums of one
+1D difference matrix T applied along each grid axis, scale*(T (x) I +
+I (x) T), and are kept in that form (KroneckerSum): a product with a field
+is two small BLAS matmuls on the grid-shaped field, and no sparse matrix is
+built.  So assembling and integrating either PDE, and its RK4 reference,
+load no scipy module; KroneckerSum.tocsc() assembles the sparse matrix,
+importing scipy.sparse, only for a solver that factors J.
 
 The boundary data is evaluated in one vectorized call over the ring of
 4(n-1) boundary nodes next to the interior (Grid2D.ring), and one scatter
@@ -106,21 +113,65 @@ class Grid2D:
                 k += 1
 
 
-def _second_difference(n: int):
-    from scipy import sparse
-    m = n - 1
-    return sparse.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
-                        offsets=[-1, 0, 1], format="csr")
+class KroneckerSum:
+    """scale * (T (x) I + I (x) T): the 1D operator T applied along each
+    axis of the (n-1) x (n-1) interior grid, in its row-major flattening.
+
+    T (x) I acts on the x index (rows of the grid-shaped field Y) and
+    I (x) T on the y index (its columns), so op @ y is sT Y + Y sT^T with
+    sT = scale*T: two small BLAS matmuls on the field, no sparse matrix.
+    Scalar multiples scale the operator; tocsc() assembles the sparse
+    matrix, for a solver that factors it.
+    """
+
+    __array_ufunc__ = None  # numpy defers scalar * op to __rmul__
+
+    def __init__(self, T, scale: float = 1.0):
+        self.T = np.asarray(T, dtype=float)
+        self.scale = float(scale)
+        self._sT = self.scale * self.T
+        # a C-ordered copy: BLAS multiplies by it faster than by the view sT.T
+        self._sTt = np.ascontiguousarray(self._sT.T)
+
+    def __mul__(self, c):
+        return KroneckerSum(self.T, float(c) * self.scale)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, y):
+        Y = y.reshape(self._sT.shape)
+        Z = self._sT @ Y
+        Z += Y @ self._sTt
+        return Z.ravel()
+
+    def sum(self, axis: int):
+        """Row sums (axis=1) or column sums (axis=0), as of the assembled
+        matrix."""
+        t = self.T.sum(axis=axis)
+        return self.scale * (t[:, None] + t).ravel()
+
+    def tocsc(self):
+        from scipy import sparse
+        T = sparse.csr_matrix(self.T)
+        I = sparse.identity(T.shape[0], format="csr")
+        return (self.scale * (sparse.kron(T, I) + sparse.kron(I, T))).tocsc()
 
 
-def five_point_laplacian(grid: Grid2D):
-    """Interior five-point Laplacian as a CSR matrix, Dirichlet terms
-    excluded (they enter through Grid2D.scatter_ring)."""
-    from scipy import sparse
-    m = grid.n - 1
-    D2 = _second_difference(grid.n)
-    I = sparse.identity(m, format="csr")
-    return (sparse.kron(D2, I) + sparse.kron(I, D2)).tocsr() / grid.dx ** 2
+def _tridiagonal(m: int, lower: float, diag: float, upper: float) -> np.ndarray:
+    return (np.diag(np.full(m - 1, lower), -1) + np.diag(np.full(m, diag))
+            + np.diag(np.full(m - 1, upper), 1))
+
+
+def five_point_laplacian(grid: Grid2D) -> KroneckerSum:
+    """Interior five-point Laplacian, Dirichlet terms excluded (they enter
+    through Grid2D.scatter_ring): the second difference along each axis."""
+    return KroneckerSum(_tridiagonal(grid.n - 1, 1.0, -2.0, 1.0), 1.0 / grid.dx ** 2)
+
+
+def central_divergence(grid: Grid2D) -> KroneckerSum:
+    """Second-order central d/dx + d/dy, boundary closure excluded (it
+    enters through Grid2D.scatter_ring)."""
+    return KroneckerSum(_tridiagonal(grid.n - 1, -1.0, 0.0, 1.0), 1.0 / (2.0 * grid.dx))
 
 
 def shifted_laplacian_solver(grid: Grid2D, coef: float):
@@ -155,18 +206,6 @@ def shifted_laplacian_solver(grid: Grid2D, coef: float):
         return solve
 
     return factory
-
-
-def _central_difference_x(grid: Grid2D):
-    """Sparse second-order central d/dx and d/dy on the flattened field; the
-    boundary closure is added by Grid2D.scatter_ring."""
-    from scipy import sparse
-    m = grid.n - 1
-    D1 = sparse.diags([-np.ones(m - 1), np.ones(m - 1)], offsets=[-1, 1], format="csr")
-    I = sparse.identity(m, format="csr")
-    Dx = sparse.kron(D1, I).tocsr() / (2.0 * grid.dx)
-    Dy = sparse.kron(I, D1).tocsr() / (2.0 * grid.dx)
-    return Dx, Dy
 
 
 def _memo_on_time(field_at):
@@ -271,10 +310,9 @@ def burgers_benchmark(n: int = 50, nu: float = 0.1,
     def u(t, x, y):
         return 1.0 / (1.0 + np.exp((x + y - t) / (2.0 * nu)))
 
-    Dx, Dy = _central_difference_x(grid)
     # f = -div(u^2)/2: the -1/2 is folded into the operator and the closure
     # scale, which changes no bits since it is a power of two
-    Dsum = (-0.5 * (Dx + Dy)).tocsr()
+    div = -0.5 * central_divergence(grid)
     ring_at = _memo_on_time(lambda t: grid.ring(u, t))
     forcing_scale = nu / grid.dx ** 2
     # central-difference closure of the divergence of the flux w = u^2: its
@@ -284,7 +322,7 @@ def burgers_benchmark(n: int = 50, nu: float = 0.1,
 
     def f(t, v):
         closure = grid.scatter_ring(flux_signs * ring_at(t) ** 2, flux_scale)
-        return Dsum @ (v * v) + closure
+        return div @ (v * v) + closure
 
     prob = SemiDiscreteProblem(
         name=f"burgers-n{n}", d=grid.m, t0=0.0, tF=t_final,

@@ -626,7 +626,8 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     V = np.outer(np.ones(s), v)
     U = np.eye(s)
     VB2 = V @ B2
-    Bhat = implicit.B
+    implicit_part = GlmTableau(A=implicit.A, U=U, B=implicit.B, V=V, c=c)
+    Qhat = starting_weight_matrix(implicit.A, c, s)
 
     def build(params: np.ndarray) -> ImexGlmMethod:
         A = _explicit_from_params(params, s)
@@ -634,10 +635,10 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         return ImexGlmMethod(
             name="optimized-explicit",
             explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
-            implicit=GlmTableau(A=implicit.A, U=U, B=Bhat, V=V, c=c),
+            implicit=implicit_part,
             v=v,
             Q=starting_weight_matrix(A, c, s),
-            Qhat=starting_weight_matrix(implicit.A, c, s),
+            Qhat=Qhat,
             p=s, q=s,
         )
 

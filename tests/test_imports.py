@@ -1,10 +1,11 @@
 """scipy modules load only on the paths that use them.
 
-`import imexglm` and the stability-area and validation paths use numpy
-alone; scipy.sparse loads with the first PDE assembly, scipy.linalg with
-the first LU factorization (scipy.sparse only for a sparse matrix),
-scipy.optimize with the optimizer.  Checked in fresh interpreters, since
-the test process has scipy loaded.
+`import imexglm`, the stability-area and validation paths, and assembling,
+integrating and referencing both PDE benchmarks use numpy alone;
+scipy.linalg loads with the first dense LU factorization, scipy.sparse and
+scipy.sparse.linalg with the first SuperLU factorization (a PDE without its
+stiff_solver), scipy.optimize with the optimizer.  Checked in fresh
+interpreters, since the test process has scipy loaded.
 """
 
 import json
@@ -24,19 +25,26 @@ def scipy_modules():
 seen = {}
 import imexglm, imexglm.cli
 seen["import"] = scipy_modules()
-from imexglm import (StabilityQuery, burgers_problem, constrained_region_area,
-                     dahlquist_split_problem, integrate,
-                     optimize_explicit_component, resolve_method,
-                     validate_method)
+from imexglm import (StabilityQuery, allen_cahn_problem, burgers_problem,
+                     constrained_region_area, dahlquist_split_problem,
+                     integrate, optimize_explicit_component,
+                     reference_solution, resolve_method, validate_method)
 m = resolve_method("dimsim4")
 constrained_region_area(m, StabilityQuery())
 seen["area"] = scipy_modules()
 validate_method(m)
 seen["validate"] = scipy_modules()
-integrate(m, burgers_problem(n=10), 10)
-seen["burgers"] = scipy_modules()
+pdes = [allen_cahn_problem(n=10), burgers_problem(n=10)]
+seen["assemble"] = scipy_modules()
+for prob in pdes:
+    integrate(m, prob, 50)
+    reference_solution(prob, 400)
+seen["pde"] = scipy_modules()
 integrate(m, dahlquist_split_problem(-1.0, -50.0), 10)
 seen["dahlquist"] = scipy_modules()
+pdes[1].stiff_solver = None
+integrate(m, pdes[1], 10)
+seen["superlu"] = scipy_modules()
 coarse = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
                         n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
 optimize_explicit_component(m.implicit, m.c, m.v, coarse, budget=5,
@@ -54,11 +62,12 @@ def test_scipy_modules_load_on_first_use():
     seen = {k: set(v) for k, v in json.loads(out.stdout).items()}
 
     assert seen["import"] == seen["area"] == seen["validate"] == set()
-    assert "scipy.sparse" in seen["burgers"]
-    assert not {"scipy.linalg", "scipy.sparse.linalg",
-                "scipy.optimize"} & seen["burgers"]
+    assert seen["assemble"] == seen["pde"] == set()
     assert "scipy.linalg" in seen["dahlquist"]
-    assert "scipy.optimize" not in seen["dahlquist"]
+    assert not {m for m in seen["dahlquist"]
+                if m.startswith(("scipy.sparse", "scipy.optimize"))}
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= seen["superlu"]
+    assert "scipy.optimize" not in seen["superlu"]
     assert "scipy.optimize" in seen["optimize"]
 
 
@@ -71,8 +80,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
 
 
 def test_dense_factorization_loads_no_sparse_module():
-    # a dense stiff matrix is factored by LAPACK alone; run in its own
-    # interpreter, since the burgers run above loads scipy.sparse first
+    # a dense stiff matrix is factored by LAPACK alone, in an interpreter
+    # that has run nothing else
     env = dict(os.environ, PYTHONPATH=str(Path(imexglm.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _DENSE_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120)

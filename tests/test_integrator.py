@@ -267,6 +267,22 @@ class TestStageSolves:
         assert np.linalg.norm(res) <= cfg.newton_tol * max(
             1.0, np.linalg.norm(rhs))
 
+    @pytest.mark.parametrize("lam", [-1e4, -1e6, -1e7, -1e8])
+    def test_newton_converges_on_very_stiff_scalar_problem(self, dimsim4, lam):
+        # nonlinear Prothero-Robinson: y' = cos t + lam (y + y^3 - sin t -
+        # sin^3 t), exact y = sin t.  The reachable Newton residual is set by
+        # the rounding inside gamma*g(y), above 1e-12 once |lam| >= 1e6
+        def g(t, y):
+            s = np.sin(t)
+            return lam * (y + y ** 3 - s - s ** 3)
+
+        prob = SemiDiscreteProblem(
+            name="prothero-robinson-nl", d=1, t0=0.0, tF=1.0, y0=np.zeros(1),
+            f=lambda t, y: np.array([np.cos(t)]), g=g,
+            g_jacobian=lambda t, y: np.diag(lam * (1.0 + 3.0 * y ** 2)))
+        res = integrate(dimsim4, prob, 40)
+        assert abs(res.y[0] - np.sin(1.0)) <= 1e-12
+
     def test_newton_stall_reports_stage_and_residual(self, dimsim4):
         prob = SemiDiscreteProblem(
             name="nl", d=1, t0=0.0, tF=1.0, y0=np.array([0.7]),

@@ -11,7 +11,8 @@ from imexglm.integrator import (StageSolveError, StartingConfig, ark_integrate,
 from imexglm.methods import bundled_ark_path, resolve_method
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
-                              allen_cahn_benchmark, burgers_benchmark,
+                              KroneckerSum, allen_cahn_benchmark,
+                              burgers_benchmark, central_divergence,
                               dahlquist_split_problem, error_field,
                               five_point_laplacian, l2_error,
                               reference_solution, shifted_laplacian_solver,
@@ -232,8 +233,7 @@ class TestBoundaryRing:
         # the power of two into D and the closure scale changes no bits
         bench = burgers_benchmark(n=n)
         grid, prob = bench.grid, bench.problem
-        Dx, Dy = problems._central_difference_x(grid)
-        D = (Dx + Dy).tocsr()
+        D = central_divergence(grid)
         signs = np.repeat([-1.0, 1.0, -1.0, 1.0], n - 1)
         rng = np.random.default_rng(5)
         for t in (0.0, 0.137, 0.5):
@@ -242,6 +242,74 @@ class TestBoundaryRing:
             for v in (prob.exact(t), rng.uniform(-2.0, 2.0, prob.d)):
                 want = -0.5 * (D @ (v ** 2) + closure)
                 assert np.array_equal(prob.f(t, v), want)
+
+
+def csr_kronecker_sum(n, offsets, values, scale):
+    """Oracle: scale * (T (x) I + I (x) T) assembled by scipy.sparse.kron,
+    with T the (n-1) x (n-1) banded matrix of the given diagonals."""
+    from scipy import sparse
+    m = n - 1
+    T = sparse.diags([np.full(m - abs(k), v) for k, v in zip(offsets, values)],
+                     offsets=offsets, format="csr")
+    I = sparse.identity(m, format="csr")
+    return (scale * (sparse.kron(T, I) + sparse.kron(I, T))).tocsr()
+
+
+def laplacian_oracle(n, coef):
+    dx = 1.0 / n
+    return csr_kronecker_sum(n, (-1, 0, 1), (1.0, -2.0, 1.0), coef * (1.0 / dx ** 2))
+
+
+def divergence_oracle(n):
+    dx = 1.0 / n
+    return csr_kronecker_sum(n, (-1, 1), (-1.0, 1.0), 1.0 / (2.0 * dx))
+
+
+class TestKroneckerSum:
+    @pytest.mark.parametrize("n", [4, 5, 10, 40, 50])
+    def test_stiff_matrices_match_csr_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for bench, coef in ((allen_cahn_benchmark(n=n, alpha=0.01), 0.01),
+                            (burgers_benchmark(n=n, nu=0.1), 0.1)):
+            J, want = bench.problem.stiff_matrix, laplacian_oracle(n, coef)
+            for y in (rng.standard_normal(bench.problem.d), bench.problem.y0):
+                assert relative(J @ y, want @ y) <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 5, 10, 40, 50])
+    def test_divergence_matches_csr_oracle(self, n):
+        grid = Grid2D(n)
+        D, want = central_divergence(grid), divergence_oracle(n)
+        rng = np.random.default_rng(n)
+        for w in (rng.standard_normal(grid.m),
+                  grid.evaluate(burgers_benchmark(n=n).boundary_value, 0.3) ** 2):
+            assert relative(D @ w, want @ w) <= 1e-15
+
+    @pytest.mark.parametrize("n", [4, 5, 10, 40, 50])
+    def test_tocsc_equals_oracle(self, n):
+        grid = Grid2D(n)
+        for op, want in ((0.01 * five_point_laplacian(grid), laplacian_oracle(n, 0.01)),
+                         (central_divergence(grid), divergence_oracle(n))):
+            got = op.tocsc()
+            assert got.format == "csc" and got.shape == want.shape
+            assert np.array_equal(got.toarray(), want.toarray())
+
+    def test_scalar_multiples(self):
+        # powers of two, so the scaled product is exact
+        op = five_point_laplacian(Grid2D(6))
+        y = np.random.default_rng(1).standard_normal(Grid2D(6).m)
+        for c in (0.25, np.float64(0.25), 2):
+            for scaled in (c * op, op * c):
+                assert isinstance(scaled, KroneckerSum)
+                assert scaled.scale == c * op.scale
+                assert np.array_equal(scaled @ y, float(c) * (op @ y))
+
+    def test_sums_match_assembled_matrix(self):
+        # the divergence is not symmetric, so its row and column sums differ
+        op = 0.3 * central_divergence(Grid2D(5))
+        A = op.tocsc()
+        for axis in (0, 1):
+            assert np.allclose(op.sum(axis=axis), np.asarray(A.sum(axis=axis)).ravel(),
+                               rtol=1e-15, atol=0.0)
 
 
 class TestAllenCahnSource:
