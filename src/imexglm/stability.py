@@ -12,9 +12,11 @@ finite grid of magnitudes and angles (StabilityQuery); region boundaries
 are traced by bisection on vertical lines in the upper half-plane and
 areas by the trapezoidal rule, doubled by conjugation symmetry.
 
-All lines are bisected in lockstep: each level makes one batched decision
-over lines x stiff points.  rho(M) < 1 is decided without eigenvalues or
-per-point linear solves.  For a fixed stiff point,
+Every search runs in batched decisions, each over points x stiff points.
+The leftmost real-axis crossing decides all its seeds and doublings at
+once, then bisects several levels per decision; all lines are bisected in
+lockstep, one decision per level.  rho(M) < 1 is decided without
+eigenvalues or per-point linear solves.  For a fixed stiff point,
 
     Q(z; v) = det(E) det(zI - M) = det [[E, -U], [-W, zI - V]],
 
@@ -363,9 +365,17 @@ class AreaResult:
     component: str = "pair"
     flagged_empty: bool = False
     unbounded: bool = False
-    decisions: int = 0      # batched rho < 1 decisions
-    matrices: int = 0       # (w, what) points decided, one matrix M each
+    decisions: int = 0      # batched rho < 1 decisions, one per batch
+    matrices: int = 0       # (w, what) points decided, one matrix M each,
+                            # with the crossing search's unused ladder
+                            # points and bisection branches
     singular: int = 0       # singular points met (counted unstable)
+
+
+# Bisection levels of the real-axis crossing decided per batch.  A batch
+# holds up to 2**depth - 1 midpoints; at 232 stiff points three levels cost
+# about as much as three one-point decisions, four cost more.
+_CROSSING_DEPTH = 3
 
 
 def _leftmost_crossing(inside, tol: float, x_cap: float):
@@ -374,27 +384,49 @@ def _leftmost_crossing(inside, tol: float, x_cap: float):
     Returns (x_b, unbounded) or None when no inside seed exists near the
     origin (empty region).  The origin itself sits on the boundary for any
     preconsistent method (rho(V) = 1), so seeding starts just left of it.
+
+    The search makes batched decisions and returns, bit for bit, what a
+    one-point search returns.  One decision covers the ladder -tol 2^k >= -x_cap: the seeds
+    -tol 4^k are its even rungs, the first inside one is a, and the
+    doublings 2^k a are the rungs past a, of which the first outside one
+    (> -x_cap) is b; without one the region is unbounded.  [b, a] is then
+    bisected _CROSSING_DEPTH levels per decision, every midpoint of those
+    levels decided at once.
     """
-    a = None
-    x = -tol
+    ladder, x = [], -tol
     while x >= -x_cap:
-        if inside([x])[0]:
-            a = x
-            break
-        x *= 4.0
-    if a is None:
+        ladder.append(x)
+        x *= 2.0
+    if not ladder:
         return None
-    b = a
-    while inside([b])[0]:
-        b *= 2.0
-        if b <= -x_cap:
-            return -x_cap, True
+    ok = inside(ladder)
+    seeds = np.flatnonzero(ok[::2])
+    if not seeds.size:
+        return None
+    k = 2 * int(seeds[0])
+    a = ladder[k]
+    outside = [x for x, x_ok in zip(ladder[k + 1:], ok[k + 1:])
+               if x > -x_cap and not x_ok]
+    if not outside:
+        return -x_cap, True
+    b = outside[0]
     while a - b > tol:
-        mid = 0.5 * (a + b)
-        if inside([mid])[0]:
-            a = mid
-        else:
-            b = mid
+        # the brackets of the next levels in heap order: bracket n splits
+        # at mids[n] into 2n + 1 (mid inside) and 2n + 2 (mid outside);
+        # one within tol, or below one, is not split
+        brackets, mids = [(a, b)], {}
+        for n in range(2 ** _CROSSING_DEPTH - 1):
+            if brackets[n] is None or brackets[n][0] - brackets[n][1] <= tol:
+                brackets += [None, None]
+                continue
+            hi, lo = brackets[n]
+            mids[n] = 0.5 * (hi + lo)
+            brackets += [(mids[n], lo), (hi, mids[n])]
+        ok = dict(zip(mids, inside(list(mids.values()))))
+        n = 0
+        while n in ok:
+            n = 2 * n + (1 if ok[n] else 2)
+        a, b = brackets[n]
     return a, False
 
 

@@ -270,8 +270,8 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_evaluations"] <= 4
         assert payload["seed_area"] > 0.0
-        # the seed alone is 32 decisions over 4,284 points (coarse query)
-        assert payload["decisions"] >= 32 and payload["matrices"] >= 4_284
+        # the seed alone is 16 decisions over 4,676 points (coarse query)
+        assert payload["decisions"] >= 16 and payload["matrices"] >= 4_676
         assert payload["singular"] == 0
         trace = payload["best_area_trace"]
         assert len(trace) == payload["n_evaluations"]

@@ -375,6 +375,35 @@ class TestTimeMemo:
         for out in (ac.f(0.1, ac.y0), ac.stiff_forcing(0.1), bu.f(0.1, bu.y0)):
             out[0] = 1.0
 
+    def test_burgers_closure_scattered_once_per_stage_time(self, monkeypatch):
+        scales = []
+        monkeypatch.setattr(Grid2D, "scatter_ring",
+                            recorder(Grid2D.scatter_ring, scales, 2))
+        bench = burgers_benchmark(n=10, t_final=0.5)
+        prob = bench.problem
+        closure_scale = -0.5 / (2.0 * bench.grid.dx)
+
+        def closures():
+            return sum(scale == closure_scale for scale, _ in scales)
+
+        f, f_calls = prob.f, []
+
+        def counted(t, y):
+            before = closures()
+            out = f(t, y)
+            f_calls.append((t, closures() - before))
+            return out
+
+        prob.f = counted
+        integrate(resolve_method("dimsim4"), prob, 20)
+        # the closure is scattered exactly on the f calls at a new time
+        ts = [t for t, _ in f_calls]
+        want = [int(k == 0 or t != ts[k - 1]) for k, t in enumerate(ts)]
+        assert [n for _, n in f_calls] == want
+        assert 0 < sum(want) < len(ts)
+        # the forcing is still scattered on every g call
+        assert len(scales) > closures()
+
     @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
     def test_one_evaluation_per_distinct_stage_time(self, make, monkeypatch):
         rings, sources = [], []

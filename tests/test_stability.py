@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm.stability import (SingularStabilityError, StabilityQuery,
-                               _block_charpoly, _pair_blocks,
+                               _block_charpoly, _leftmost_crossing,
+                               _pair_blocks,
                                _pair_charpolys, _pair_matrices_batch,
                                _schur_cohn_stable,
                                _stability_decider, boundary_intersection,
@@ -38,6 +39,14 @@ def singular_toy():
     singular at what = -1, a point of the coarse grid (magnitude 1, angle 0)."""
     return imex_dimsim("singular-toy", np.array([1.0]), np.zeros((1, 1)),
                        np.array([[-1.0]]), np.array([1.0]))
+
+
+def shifted_toy():
+    """One-stage pair with V = 1.5 and B = 0.5: the explicit component
+    M(w, 0) = 1.5 + w/2 is inside on (-5, -1) only, so the search's seeds
+    near the origin are outside and a later one is the first inside."""
+    return imex_dimsim("shifted-toy", np.array([1.0]), np.zeros((1, 1)),
+                       np.array([[1.0]]), np.array([1.5]))
 
 
 class TestStabilityMatrices:
@@ -344,14 +353,18 @@ class TestLockstepBisection:
             assert np.array_equal(b.ys, want)
 
     def test_exact_decision_counts(self, dimsim4, coarse_query):
-        # default query: 24 crossing probes, 1 line start, then 13 levels
-        # over the 29 lines inside, at 232 stiff points each
+        # default query: one decision on the 15 ladder points -tol 2^k (seeds
+        # and doublings), 4 bisection batches to x_b (11 levels, 7 + 7 + 7 + 3
+        # midpoints), 1 line start on 30 lines, then 13 levels over the 29
+        # lines inside, at 232 stiff points each: (15 + 24 + 30 + 377) * 232
         res, b = constrained_region_area(dimsim4, StabilityQuery())
-        assert (res.decisions, res.matrices, res.singular) == (38, 99_992, 0)
-        assert b.counts == {"decisions": 38, "matrices": 99_992,
+        assert (res.decisions, res.matrices, res.singular) == (19, 103_472, 0)
+        assert b.counts == {"decisions": 19, "matrices": 103_472,
                             "singular": 0}
+        # coarse query: 13 ladder points, 3 batches (9 levels, 21 midpoints),
+        # 12 line starts, 11 levels over 11 lines, at 28 stiff points each
         res, _ = constrained_region_area(dimsim4, coarse_query)
-        assert (res.decisions, res.matrices, res.singular) == (32, 4_284, 0)
+        assert (res.decisions, res.matrices, res.singular) == (16, 4_676, 0)
 
     def test_singular_point_counts_unstable(self, coarse_query):
         toy = singular_toy()
@@ -366,9 +379,94 @@ class TestLockstepBisection:
                                             coarse_query.alpha, "implicit")
         assert inside([-0.5, -1.0]).tolist() == [True, False]
         assert counts["singular"] == 1
+        # the empty region costs one decision on the 13 ladder points, each
+        # meeting the singular stiff point what = -1
         res, _ = constrained_region_area(toy, coarse_query)
         assert res.flagged_empty
-        assert res.singular == res.decisions > 0
+        assert (res.decisions, res.matrices, res.singular) == (1, 13 * 28, 13)
+
+
+def serial_crossing(inside, tol, x_cap):
+    """Reference real-axis search, one point per decision."""
+    a = None
+    x = -tol
+    while x >= -x_cap:
+        if inside([x])[0]:
+            a = x
+            break
+        x *= 4.0
+    if a is None:
+        return None
+    b = a
+    while inside([b])[0]:
+        b *= 2.0
+        if b <= -x_cap:
+            return -x_cap, True
+    while a - b > tol:
+        mid = 0.5 * (a + b)
+        if inside([mid])[0]:
+            a = mid
+        else:
+            b = mid
+    return a, False
+
+
+def crossings(m, q, component):
+    """The batched and the serial crossing search on one decider, and the
+    decider."""
+    inside, _ = _stability_decider(m, q, q.alpha, component)
+    return (_leftmost_crossing(inside, q.tol, 4.0 * q.y_top),
+            serial_crossing(inside, q.tol, 4.0 * q.y_top), inside)
+
+
+class TestCrossingSearch:
+    """The batched search returns bitwise what the one-point search does."""
+
+    @pytest.mark.parametrize("name", ["dimsim4", "dimsim5", "imex-euler"])
+    def test_builtin_methods_match_serial_search(self, name, coarse_query):
+        m = resolve_method(name)
+        for q in (StabilityQuery(), coarse_query):
+            for component in ("pair", "explicit", "implicit"):
+                got, want, _ = crossings(m, q, component)
+                assert got == want and got is not None
+                assert got[1] == (component == "implicit")
+            assert got == (-4.0 * q.y_top, True)
+
+    def test_empty_region(self, coarse_query):
+        got, want, _ = crossings(singular_toy(), coarse_query, "pair")
+        assert got is want is None
+
+    def test_later_seed_and_no_doubling(self):
+        toy = shifted_toy()
+        q = StabilityQuery()
+        got, want, inside = crossings(toy, q, "explicit")
+        assert not inside([-q.tol, -4 * q.tol]).any()
+        assert got == want and abs(got[0] + 5.0) < q.tol
+        # seed -3 is the first inside, doubling -6 the first outside: the
+        # bracket [-6, -3] halves to a width of exactly tol after four
+        # levels, where the search stops
+        q = StabilityQuery(tol=3 / 16)
+        got, want, inside = crossings(toy, q, "explicit")
+        assert inside([-3.0, -6.0]).tolist() == [True, False]
+        assert got == want and abs(got[0] + 5.0) < q.tol
+        # x_cap = 2: the first inside seed, -1.024, has no doubling > -2
+        q = StabilityQuery(y_top=0.5)
+        assert -1.024 * 2.0 < -4.0 * q.y_top
+        assert crossings(toy, q, "explicit")[:2] == ((-2.0, True),) * 2
+        # a ladder point at -x_cap exactly is a seed (>= -x_cap) but not a
+        # doubling (> -x_cap)
+        euler = resolve_method("imex-euler")
+        q = StabilityQuery(tol=0.5, y_top=0.5)
+        assert crossings(euler, q, "explicit")[:2] == ((-2.0, True),) * 2
+
+    @pytest.mark.parametrize("tol", [1e-4, 2e-3, 0.07, 0.3, 1.5, 40.0])
+    def test_partial_batches_match_serial_search(self, tol, dimsim4):
+        # bisections that end after one, two and three levels of a batch,
+        # and ladders with no inside seed or no point at all
+        q = StabilityQuery(stiff_magnitudes=(0.0, 1.0), n_angles=3, tol=tol)
+        for component in ("pair", "explicit", "implicit"):
+            got, want, _ = crossings(dimsim4, q, component)
+            assert got == want
 
 
 class TestAreas:
