@@ -355,14 +355,16 @@ class TestLockstepBisection:
     def test_exact_decision_counts(self, dimsim4, coarse_query):
         # default query: one decision on the 15 ladder points -tol 2^k (seeds
         # and doublings), 4 bisection batches to x_b (11 levels, 7 + 7 + 7 + 3
-        # midpoints), 1 line start on 30 lines, then 13 levels over the 29
-        # lines inside, at 232 stiff points each: (15 + 24 + 30 + 377) * 232
+        # midpoints), 1 decision on the starts of the 30 lines, then 13 levels
+        # over the 29 lines inside, at 232 stiff points each:
+        # (15 + 24 + 30 + 13 * 29) * 232
         res, b = constrained_region_area(dimsim4, StabilityQuery())
         assert (res.decisions, res.matrices, res.singular) == (19, 103_472, 0)
         assert b.counts == {"decisions": 19, "matrices": 103_472,
                             "singular": 0}
         # coarse query: 13 ladder points, 3 batches (9 levels, 21 midpoints),
-        # 12 line starts, 11 levels over 11 lines, at 28 stiff points each
+        # the starts of 12 lines, 11 levels over 11 lines, at 28 stiff points
+        # each: (13 + 21 + 12 + 11 * 11) * 28
         res, _ = constrained_region_area(dimsim4, coarse_query)
         assert (res.decisions, res.matrices, res.singular) == (16, 4_676, 0)
 
