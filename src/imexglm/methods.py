@@ -191,6 +191,11 @@ class ImexRkMethod:
     def __post_init__(self):
         for name in ("c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        # the stage solves read only the lower triangles
+        if np.triu(self.A_explicit).any():
+            raise ValueError("A_explicit must be strictly lower triangular")
+        if np.triu(self.A_implicit, 1).any():
+            raise ValueError("A_implicit must be lower triangular")
 
     @property
     def sigma(self) -> int:
@@ -239,11 +244,13 @@ def load_ark_method(path) -> ImexRkMethod:
     Ai = arr("A_implicit", (sigma, sigma))
     bi = arr("b_implicit", (sigma,))
 
-    if sigma > 1:
-        if np.abs(Ae[np.triu_indices(sigma, k=0)]).max() > 0:
-            raise MethodFileError("A_explicit must be strictly lower triangular")
-        if np.abs(Ai[np.triu_indices(sigma, k=1)]).max() > 0:
-            raise MethodFileError("A_implicit must be lower triangular")
+    try:
+        m = ImexRkMethod(
+            name=str(d.get("name", Path(path).stem)),
+            c=c, A_explicit=Ae, b_explicit=be, A_implicit=Ai, b_implicit=bi,
+        )
+    except ValueError as exc:
+        raise MethodFileError(f"{path}: {exc}") from exc
     for label, A in (("explicit", Ae), ("implicit", Ai)):
         rowsum = A.sum(axis=1)
         bad = np.nonzero(np.abs(rowsum - c) > _ARK_ABSCISSAE_TOL)[0]
@@ -253,10 +260,7 @@ def load_ark_method(path) -> ImexRkMethod:
                 f"{label} abscissae mismatch at stage {i}: "
                 f"row sum {rowsum[i]!r} vs c[{i}]={c[i]!r}"
             )
-    return ImexRkMethod(
-        name=str(d.get("name", Path(path).stem)),
-        c=c, A_explicit=Ae, b_explicit=be, A_implicit=Ai, b_implicit=bi,
-    )
+    return m
 
 
 def bundled_ark_path(order: int) -> Path:

@@ -23,10 +23,14 @@ eigenvalues or per-point linear solves.  For a fixed stiff point,
 with E = I - wA - what*Ahat and W = wB + what*Bhat, is a polynomial of
 degree <= s in the line variable v (w, or what on the implicit component)
 and r in z (Jackiewicz, General Linear Methods for ODEs, 2009).  Its
-coefficients are interpolated once per region; a decision evaluates them
-at every v with one matmul and runs the Schur-Cohn test on the resulting
-polynomials in z.  Points where E is singular, so that the leading
-coefficient det(E) vanishes, count as unstable.
+coefficients are interpolated once per region: E is lower triangular, so
+det(E) is the product of its diagonal and E^{-1} U a forward substitution,
+and each stiff point's coefficients are scaled by a power of two (exact)
+so that the Schur-Cohn products cannot overflow however large |what| is.
+A decision evaluates them at every v with one matmul and runs the
+Schur-Cohn test on the resulting polynomials in z, in place, in one
+workspace.  Points where E is singular, so that the leading coefficient
+det(E) vanishes, count as unstable.
 
 All of this is numpy alone; only optimize_explicit_component imports
 scipy.optimize, on its first call.
@@ -150,18 +154,24 @@ def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
     """det(E) det(zI - M(w, what)) as coefficients in z, highest degree
     first, stacked (..., P, r + 1) as in _pair_matrices_batch.
 
-    Where E is singular (det(E) = 0: LAPACK met an exact zero pivot) M does
-    not exist; there the polynomial is the block determinant of
-    _block_charpoly, with its leading coefficient det(E) set to an exact 0
-    so the point decides unstable and is tallied singular."""
-    s, r = m.s, m.r
+    E = I - wA - what*Ahat is lower triangular (ImexGlmMethod holds A
+    strictly lower and Ahat lower triangular), so det(E) is the product of
+    its diagonal and E^{-1} U comes from forward substitution, one einsum
+    per row over the whole stack.  Where E is singular (a diagonal entry is
+    an exact 0) M does not exist; there the polynomial is the block
+    determinant of _block_charpoly, with its leading coefficient det(E) set
+    to an exact 0 so the point decides unstable and is tallied singular."""
     E, W = _pair_blocks(m, w, whats)
     U, V = m.explicit.U.astype(complex), m.explicit.V
-    det = np.linalg.det(E)
+    diag = np.diagonal(E, axis1=-2, axis2=-1)
+    det = diag.prod(axis=-1)
     ok = det != 0.0
-    Q = np.empty(E.shape[:-2] + (r + 1,), dtype=complex)
-    X = np.linalg.solve(E[ok], np.broadcast_to(U, (np.count_nonzero(ok), s, r)))
-    Q[ok] = _charpoly(V + W[ok] @ X) * det[ok][:, None]
+    X = np.empty(E.shape[:-1] + (m.r,), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(m.s):
+            row = U[i] - np.einsum("...j,...jk->...k", E[..., i, :i], X[..., :i, :])
+            np.divide(row, diag[..., i, None], out=X[..., i, :])
+        Q = _charpoly(V + W @ X) * det[..., None]
     if not ok.all():
         Q[~ok] = _block_charpoly(E[~ok], W[~ok], U, V)
         Q[~ok, 0] = 0.0
@@ -227,13 +237,34 @@ def _schur_cohn(a: np.ndarray) -> np.ndarray:
     zero in the open unit disk iff |a_0| > |a_r| at each of its r steps
     (Marden, Geometry of Polynomials, 1966; Miller 1971), so a vanishing
     leading coefficient fails at once.
+
+    The reduction overwrites a in place and needs one workspace of a's
+    size: conj(a_0) in its last slab, a_r times the conjugated reversed
+    coefficients in the others.  No step allocates, and each reduced
+    coefficient takes its operands in the order of
+    conj(a_0) * a[:-1] - a_r * conj(a[:0:-1]), so it is bitwise the value
+    of that expression.  The last reduction, whose one coefficient no test
+    reads, is skipped.
     """
+    work = np.empty_like(a)
+    lead_conj, rev = work[-1], work[:-1]
+    mags = np.empty((2,) + a.shape[1:])
+    step = np.empty(a.shape[1:], dtype=bool)
     stable = np.ones(a.shape[1:], dtype=bool)
-    for _ in range(a.shape[0] - 1):
-        lead, const = a[0], a[-1]
-        stable &= np.abs(lead) > np.abs(const)
+    for deg in range(a.shape[0] - 1, 0, -1):   # a[:deg + 1] is the polynomial
+        lead, const = a[0], a[deg]
+        np.abs(lead, out=mags[0])
+        np.abs(const, out=mags[1])
+        np.greater(mags[0], mags[1], out=step)
+        stable &= step
+        if deg == 1:
+            break
         # the dropped last term, conj(lead) const - const conj(lead), is 0
-        a = lead.conj() * a[:-1] - const * a[:0:-1].conj()
+        np.conjugate(lead, out=lead_conj)
+        np.conjugate(a[deg:0:-1], out=rev[:deg])
+        np.multiply(const, rev[:deg], out=rev[:deg])
+        np.multiply(lead_conj, a[:deg], out=a[:deg])
+        np.subtract(a[:deg], rev[:deg], out=a[:deg])
     return stable
 
 
@@ -285,7 +316,12 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
     D /= (s * nodes[0] ** np.arange(s))[:, None, None]
     # coefficient-major layout: row j * P + p holds z^(r - j) at point p
-    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0).reshape(-1, s + 1)
+    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
+    # a power of two per stiff point brings its largest coefficient into
+    # [1/2, 1): exact, and it keeps the Schur-Cohn products, which square
+    # the coefficients' magnitude at every step, from overflowing
+    _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
+    C = (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
     counts = {"decisions": 0, "matrices": 0, "singular": 0}
 
     def inside(ws) -> np.ndarray:

@@ -88,6 +88,11 @@ class ImexGlmMethod:
     def __post_init__(self):
         for name in ("v", "Q", "Qhat"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        # the stepper and the stability code read only the lower triangles
+        if np.triu(self.A).any():
+            raise ValueError(f"{self.name}: explicit A must be strictly lower triangular")
+        if np.triu(self.Ahat, 1).any():
+            raise ValueError(f"{self.name}: implicit A must be lower triangular")
 
     @property
     def s(self) -> int:
@@ -242,10 +247,11 @@ ORDER_CONDITION_TOL = 1e-8
 def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodValidationReport:
     """Check structural and order-condition consistency of an IMEX pair.
 
-    Structural residuals (triangularity, shared blocks, rank-one V,
+    Structural residuals (implicit diagonal, shared blocks, rank-one V,
     preconsistency) are held to `tol`; the recomputed-B checks use the
     looser ORDER_CONDITION_TOL since published coefficients carry about
-    15 digits and the B relation amplifies their rounding.
+    15 digits and the B relation amplifies their rounding.  Triangularity
+    is not reported: ImexGlmMethod rejects a pair without it.
     """
     rep = MethodValidationReport(method=m.name)
     add = rep.checks.append
@@ -254,12 +260,7 @@ def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodVali
 
     add(ValidationCheck("square family (p=q=r=s)",
                         float(abs(m.p - m.q) + abs(m.r - s) + abs(m.p - s)), 0.0))
-    iu = np.triu_indices(s, k=0)
-    add(ValidationCheck("explicit A strictly lower", float(np.abs(A[iu]).max()), tol))
-    iu1 = np.triu_indices(s, k=1)
-    up = float(np.abs(Ah[iu1]).max()) if s > 1 else 0.0
     diag = np.diag(Ah)
-    add(ValidationCheck("implicit A lower triangular", up, tol))
     add(ValidationCheck("implicit diagonal constant", float(np.ptp(diag)), tol))
     add(ValidationCheck("implicit diagonal positive", float(max(0.0, -diag.min())), 0.0))
 
@@ -359,12 +360,15 @@ def method_from_dict(d: dict) -> ImexGlmMethod:
     Qhat = _parse_array(d["Qhat"], (r, p + 1), "Qhat")
     U = np.eye(s, r)
     V = np.outer(np.ones(r), v)
-    return ImexGlmMethod(
-        name=str(d["name"]),
-        explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
-        implicit=GlmTableau(A=Ahat, U=U, B=Bhat, V=V, c=c),
-        v=v, Q=Q, Qhat=Qhat, p=p, q=q,
-    )
+    try:
+        return ImexGlmMethod(
+            name=str(d["name"]),
+            explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
+            implicit=GlmTableau(A=Ahat, U=U, B=Bhat, V=V, c=c),
+            v=v, Q=Q, Qhat=Qhat, p=p, q=q,
+        )
+    except ValueError as exc:
+        raise MethodFileError(str(exc)) from exc
 
 
 def save_method(m: ImexGlmMethod, path) -> None:

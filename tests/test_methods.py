@@ -85,6 +85,22 @@ class TestArkLoading:
         with pytest.raises(MethodFileError, match="strictly lower"):
             load_ark_method(path)
 
+    def test_non_triangular_pair_rejected(self):
+        c, b = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="A_explicit must be strictly"):
+            ImexRkMethod(name="diagonal", c=c, A_explicit=np.diag([0.0, 1.0]),
+                         b_explicit=b, A_implicit=lower, b_implicit=b)
+        with pytest.raises(ValueError, match="A_implicit must be lower"):
+            ImexRkMethod(name="upper", c=c, A_explicit=lower, b_explicit=b,
+                         A_implicit=np.array([[0.5, 0.5], [0.5, 0.5]]),
+                         b_implicit=b)
+        one = np.ones((1, 1))
+        with pytest.raises(ValueError, match="A_explicit must be strictly"):
+            ImexRkMethod(name="one-stage", c=np.array([1.0]), A_explicit=one,
+                         b_explicit=np.ones(1), A_implicit=one,
+                         b_implicit=np.ones(1))
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"sigma": 2, "c": ["0", "1"]}))

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexglm.stability import (SingularStabilityError, StabilityQuery,
-                               _block_charpoly, _leftmost_crossing,
-                               _pair_blocks,
+from imexglm.stability import (DEFAULT_STIFF_MAGNITUDES,
+                               SingularStabilityError, StabilityQuery,
+                               _block_charpoly, _charpoly, _leftmost_crossing,
+                               _NODE_RADIUS, _pair_blocks,
                                _pair_charpolys, _pair_matrices_batch,
-                               _schur_cohn_stable,
+                               _schur_cohn, _schur_cohn_stable,
                                _stability_decider, boundary_intersection,
                                check_irks,
                                check_L_stability, constrained_region_area,
@@ -305,6 +306,151 @@ class TestLinePolynomial:
         assert len(trace) == out.n_evaluations
         assert trace[0] == out.seed_area and trace[-1] == out.area
         assert (np.diff(trace) >= 0.0).all()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def allocating_schur_cohn(a):
+    """The Schur-Cohn test as it was written before the workspace: four
+    fresh temporaries per step, a left as it was."""
+    stable = np.ones(a.shape[1:], dtype=bool)
+    for _ in range(a.shape[0] - 1):
+        lead, const = a[0], a[-1]
+        stable &= np.abs(lead) > np.abs(const)
+        a = lead.conj() * a[:-1] - const * a[:0:-1].conj()
+    return stable
+
+
+def lapack_pair_charpolys(m, w, whats):
+    """det(E) det(zI - M) as it was computed before the triangular setup:
+    LAPACK det and solve on E."""
+    s, r = m.s, m.r
+    E, W = _pair_blocks(m, w, whats)
+    U, V = m.explicit.U.astype(complex), m.explicit.V
+    det = np.linalg.det(E)
+    ok = det != 0.0
+    Q = np.empty(E.shape[:-2] + (r + 1,), dtype=complex)
+    X = np.linalg.solve(E[ok], np.broadcast_to(U, (np.count_nonzero(ok), s, r)))
+    Q[ok] = _charpoly(V + W[ok] @ X) * det[ok][:, None]
+    if not ok.all():
+        Q[~ok] = _block_charpoly(E[~ok], W[~ok], U, V)
+        Q[~ok, 0] = 0.0
+    return Q
+
+
+def rays_query(top, n_magnitudes):
+    """Only the two boundary rays arg(-what) = +-pi/2, with log-spaced
+    magnitudes from 1e-4 to 10^top."""
+    mags = (0.0,) + tuple(np.logspace(-4.0, top, n_magnitudes))
+    return StabilityQuery(stiff_magnitudes=mags, n_angles=2)
+
+
+def random_stack(rng, n, P, L, scale=1.0):
+    return scale * (rng.standard_normal((n, P, L))
+                    + 1j * rng.standard_normal((n, P, L)))
+
+
+class TestDecisionOracles:
+    """The workspace Schur-Cohn test and the triangular setup against the
+    allocating test and the LAPACK setup they replace."""
+
+    @pytest.mark.parametrize("L", [1, 12, 30])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
+    def test_workspace_matches_allocating_schur_cohn(self, n, L):
+        rng = np.random.default_rng(100 * n + L)
+        P = 40
+        # unit disk products and stacks near it, plus the extremes: an exact
+        # zero leading coefficient, |lead| = |const| ties (const = conj(lead),
+        # -lead, i * lead), and magnitudes that overflow within a few steps
+        stacks = [random_stack(rng, n, P, L),
+                  random_stack(rng, n, P, L, scale=1e-3),
+                  random_stack(rng, n, P, L, scale=1e90)]
+        roots = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (n - 1, P, L)))
+        roots *= rng.uniform(0.5, 1.1, (n - 1, P, L))
+        monic = np.ones((1, P, L), dtype=complex)
+        for k in range(n - 1):
+            monic = np.concatenate([monic, np.zeros((1, P, L))])
+            monic[1:] -= roots[k] * monic[:-1]
+        stacks.append(monic)
+        a = random_stack(rng, n, P, L)
+        a[0, : P // 4] = 0.0
+        a[-1, P // 4: P // 2] = a[0, P // 4: P // 2].conj()
+        a[-1, P // 2: 3 * P // 4] = -a[0, P // 2: 3 * P // 4]
+        a[-1, 3 * P // 4:] = 1j * a[0, 3 * P // 4:]
+        stacks.append(a)
+        for a in stacks:
+            want = allocating_schur_cohn(a)
+            got = _schur_cohn(a.copy())
+            assert got.dtype == bool and got.shape == (P, L)
+            assert np.array_equal(got, want)
+            # a strided view, as _schur_cohn_stable passes
+            view = np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+            assert np.array_equal(_schur_cohn(view), want)
+        if n == 5:
+            assert 0.0 < allocating_schur_cohn(stacks[3]).mean() < 1.0
+
+    @pytest.mark.parametrize("name", ["dimsim4", "dimsim5", "imex-euler"])
+    def test_triangular_setup_matches_lapack(self, name, coarse_query):
+        # Coefficient k of det(E) det(zI - M) is measured against the size
+        # of its terms, |det E| (1 + |M|_F)^k.  Against each polynomial's
+        # largest coefficient the two setups differ by up to 4e-8 at these
+        # random w, where Newton's identities cancel; a 50-digit reference
+        # puts both that far off, the triangular one closer.
+        m = resolve_method(name)
+        rng = np.random.default_rng(7)
+        nodes = _NODE_RADIUS * np.exp(
+            1j * np.pi * (2 * np.arange(m.s) + 1) / m.s)
+        v = np.concatenate(([0.0], nodes))
+        ws = np.concatenate([v, rng.uniform(-6.0, 0.5, 40)
+                             + 1j * rng.uniform(0.0, 8.0, 40)])
+        for q in (StabilityQuery(), coarse_query, rays_query(7.0, 193)):
+            grid = q.stiff_grid()
+            for w, whats in ((ws, grid), (0.0, v)):
+                want = lapack_pair_charpolys(m, w, whats)
+                got = _pair_charpolys(m, w, whats)
+                E, _ = _pair_blocks(m, w, whats)
+                norm = np.linalg.norm(_pair_matrices_batch(m, w, whats),
+                                      axis=(-2, -1))
+                scale = (np.abs(np.linalg.det(E))[..., None]
+                         * (1.0 + norm[..., None]) ** np.arange(m.r + 1))
+                assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+    def test_triangular_setup_singular_points(self):
+        toy = singular_toy()
+        w = np.array([-0.5, 0.3 + 0.7j])
+        whats = [-1.0, -0.5, -2.0 + 1.0j]
+        got = _pair_charpolys(toy, w, whats)
+        want = lapack_pair_charpolys(toy, w, whats)
+        assert np.array_equal(got[..., 0] == 0.0, want[..., 0] == 0.0)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("top", [7.0, 8.0])
+    def test_decisions_match_eigenvalues_far_along_the_rays(self, dimsim4,
+                                                            dimsim5, top):
+        # without scaling, the Schur-Cohn products of dimsim5 overflow once
+        # |what| reaches about 3e4 and every point decides outside
+        q = rays_query(top, 97)
+        grid = q.stiff_grid()
+        rng = np.random.default_rng(300)
+        ws = rng.uniform(-1.5, 0.0, 300) + 1j * rng.uniform(0.0, 1.5, 300)
+        for m in (dimsim4, dimsim5):
+            inside, _ = _stability_decider(m, q, q.alpha, "pair")
+            got = inside(ws)
+            want = eig_stable(_pair_matrices_batch(m, ws, grid)).all(axis=-1)
+            assert want.sum() > 40
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("top", [5, 8])
+    def test_longer_stiff_grid_keeps_default_area(self, dimsim4, dimsim5,
+                                                  top):
+        # max rho over the sector is reached at moderate |what| for both
+        # pairs, so magnitudes up to 10^top add nothing to the default query
+        mags = DEFAULT_STIFF_MAGNITUDES + tuple(10.0 ** k
+                                                for k in range(4, top + 1))
+        for m in (dimsim4, dimsim5):
+            want, _ = constrained_region_area(m)
+            got, _ = constrained_region_area(
+                m, StabilityQuery(stiff_magnitudes=mags))
+            assert got.area == want.area > 0.5
 
 
 def serial_ordinates(rho, xs, q):

@@ -184,6 +184,26 @@ class TestValidation:
         assert any("order conditions" in n or "starting weights" in n
                    for n in names)
 
+    def test_non_triangular_pair_rejected(self, dimsim4, tmp_path):
+        # the stepper reads only the lower triangles, so such a pair would
+        # integrate as if its upper entries were 0
+        c, v = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        lower = np.array([[0.5, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="strictly lower"):
+            imex_dimsim("upper", c, np.array([[0.0, 0.5], [0.5, 0.0]]),
+                        lower, v)
+        with pytest.raises(ValueError, match="strictly lower"):
+            imex_dimsim("diagonal", c, np.diag([0.0, 0.5]), lower, v)
+        with pytest.raises(ValueError, match="implicit A must be lower"):
+            imex_dimsim("upper-hat", c, np.zeros((2, 2)),
+                        np.array([[0.5, 0.1], [0.5, 0.5]]), v)
+        d = method_to_dict(dimsim4)
+        d["Ahat"][0][3] = "1e-300"
+        path = tmp_path / "upper.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(MethodFileError, match="implicit A must be lower"):
+            load_method(path)
+
     def test_tableau_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             GlmTableau(A=np.zeros((2, 2)), U=np.eye(2), B=np.zeros((3, 2)),
