@@ -22,15 +22,18 @@ coefficient rows depend only on (method, h) and are built once per run
 (StiffSolverCache.stage_rows).
 
 A linear stiff part g = J y + b(t) is given once, as (stiff_matrix,
-stiff_forcing); its diagonally implicit stage solves then share one
-solver of I - h*lambda*J, since the diagonal is constant for this method
-class, and each stage evaluates the forcing b once for both the solve and
-G_i = J Y_i + b.  J may be a dense numpy array, a scipy.sparse matrix, or
-an operator with @ and tocsc() (problems.KroneckerSum, the PDE benchmarks'
-Laplacian).  The solver comes from the problem's stiff_solver factory when
-it has one (the fast-diagonalization Laplacian solve of both PDE
-benchmarks); otherwise I - h*lambda*J is factored, by SuperLU for a J with
-tocsc() and LAPACK LU for dense J.  SuperLU and LAPACK
+stiff_forcing); its diagonally implicit stage solves then share one solver
+of I - gamma*J, gamma = h*lambda, since the diagonal is constant for this
+method class.  Each stage evaluates the forcing b once, into the shifted
+right-hand side R_i + gamma*b of its solve (R_i is the row product above),
+and takes its stiff value from that solve, G_i = (Y_i - R_i) / gamma, so
+an implicit stage forms no product with J; G_i = J Y_i + b is formed only
+at gamma = 0 stages.  J may be a dense numpy array, a scipy.sparse matrix,
+or an operator with @ and tocsc() (problems.KroneckerSum, the PDE
+benchmarks' Laplacian).  The solver comes from the problem's stiff_solver
+factory when it has one (the fast-diagonalization Laplacian solve of both
+PDE benchmarks); otherwise I - gamma*J is factored, by SuperLU for a J
+with tocsc() and LAPACK LU for dense J.  SuperLU and LAPACK
 (scipy.sparse.linalg, scipy.linalg) are imported on the first
 factorization, and scipy.sparse only for a J with tocsc(), so a run whose
 solves all come from stiff_solver loads no scipy module and a dense run
@@ -270,30 +273,34 @@ def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
            stage_index=None):
     """Solve Y = rhs + gamma * g(t_stage, Y); return (Y, g(t_stage, Y)).
 
-    For linear g = J y + b the forcing b is evaluated once and serves both
-    the solve and the stage value J Y + b."""
+    For linear g = J y + b and gamma != 0 the solve fixes the stage value,
+    G = (Y - rhs) / gamma, so no product with J is formed; J Y + b is
+    formed only at gamma = 0 stages.  The forcing b is evaluated once per
+    stage.  rhs itself is never handed to the solver, so it is intact for
+    G."""
     J, forcing = prob.stiff_matrix, prob.stiff_forcing
     b = None if J is None or forcing is None else forcing(t_stage)
-    if gamma != 0.0:
-        if not np.isfinite(rhs).all():
-            raise StageSolveError("non-finite stage right-hand side",
-                                  stage=stage_index)
-        if J is None:
-            rhs = _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor,
-                                stage_index)
-        else:
-            solve = cache.factorization(gamma)
-            if b is not None:
-                gb = gamma * b
-                gb += rhs
-                rhs = gb
-            rhs = np.asarray(solve(rhs))
+    if gamma != 0.0 and not np.isfinite(rhs).all():
+        raise StageSolveError("non-finite stage right-hand side",
+                              stage=stage_index)
     if J is None:
-        return rhs, prob.g(t_stage, rhs)
-    G = J @ rhs
-    if b is not None:
-        G += b
-    return rhs, G
+        Y = rhs if gamma == 0.0 else _newton_solve(gamma, rhs, prob, t_stage,
+                                                   cfg, predictor, stage_index)
+        return Y, prob.g(t_stage, Y)
+    if gamma == 0.0:
+        G = J @ rhs
+        if b is not None:
+            G += b
+        return rhs, G
+    if b is None:
+        shifted = rhs.copy()
+    else:
+        shifted = gamma * b
+        shifted += rhs
+    Y = np.asarray(cache.factorization(gamma)(shifted))
+    G = Y - rhs
+    G /= gamma
+    return Y, G
 
 
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps

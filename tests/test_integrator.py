@@ -11,8 +11,8 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 glm_step, imex_euler_ark, initialize_external,
                                 integrate, rescaling_matrix, solve_stage)
 from imexglm.methods import ImexRkMethod, bundled_ark_path
-from imexglm.problems import (allen_cahn_benchmark, burgers_benchmark,
-                              dahlquist_split_problem, five_point_laplacian)
+from imexglm.problems import (KroneckerSum, allen_cahn_benchmark,
+                              burgers_benchmark, dahlquist_split_problem)
 from imexglm.stability import imex_stability_matrix
 
 
@@ -229,8 +229,9 @@ class TestStageSolves:
             return g(t, y)
 
         def recorded_stage(*args, **kwargs):
+            R = args[1].copy()
             Y, G = real_stage(*args, **kwargs)
-            stages.append((args[3], Y.copy(), G.copy()))
+            stages.append((args[0], R, args[3], Y.copy(), G.copy()))
             return Y, G
 
         prob.stiff_forcing, prob.g = counted_forcing, counted_g
@@ -242,12 +243,92 @@ class TestStageSolves:
         # every dimsim4 stage is implicit: one forcing call each, no probe
         assert forcing_times == [0.01 * c for c in dimsim4.c]
         assert zero_probes == []
-        L = five_point_laplacian(grid)
-        for t_i, Y, G in stages:
-            boundary = grid.scatter_ring(grid.ring(bench.boundary_value, t_i),
-                                         1.0 / grid.dx ** 2)
-            for want in (g(t_i, Y), 0.01 * (L @ Y + boundary)):
-                assert np.linalg.norm(G - want) <= 1e-14 * np.linalg.norm(want)
+        # G comes from the solve, G = (Y - R)/gamma.  It meets the stage
+        # equation to rounding, and differs from J Y + b by the solve's
+        # residual over gamma plus the rounding of both formulas.  The
+        # fast-diagonalization solve makes four products with the m x m sine
+        # matrix S, m = n - 1; each errs by at most gamma_m |S| |Z| (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.13),
+        # in norm m eps ||  |S| || ||Z|| <= m^1.5 eps ||Z|| as S is
+        # orthogonal, and ||Z|| <= ||I - gamma J|| ||Y||.  Forming R + gamma b
+        # and the scaling by the eigenvalue table D (its own rounding
+        # included) add 6 eps ||I - gamma J|| ||Y||; over gamma, ||I - gamma
+        # J|| / |gamma| <= 1/|gamma| + ||J||.  The subtract-and-divide adds
+        # 2 eps ||G||, and J Y + b (two tridiagonal products, each row of
+        # 3 terms with || |scale T| || = ||J|| / 2, and two adds) adds
+        # 4 eps ||J|| ||Y|| + eps ||G||.  With ||b|| <= ||J|| ||Y||, so
+        # ||G|| <= 2 ||J|| ||Y||, c = 4 m^1.5 + 16 at first order in eps
+        # (the tables S and D are taken as exact).
+        eps, m, J = np.finfo(float).eps, grid.n - 1, prob.stiff_matrix
+        norm_J = 2.0 * abs(J.scale) * np.abs(np.linalg.eigvalsh(J.T)).max()
+        c = 4.0 * m ** 1.5 + 16.0
+        for gamma, R, t_i, Y, G in stages:
+            norm_Y = np.linalg.norm(Y)
+            assert np.linalg.norm(Y - R - gamma * G) <= eps * norm_Y
+            b = forcing(t_i)
+            assert np.linalg.norm(b) <= norm_J * norm_Y
+            assert (np.linalg.norm(G - (J @ Y + b))
+                    <= c * eps * norm_Y * (1.0 / abs(gamma) + norm_J))
+
+    def test_implicit_linear_stages_form_no_stiff_product(self, dimsim4,
+                                                          monkeypatch):
+        # allen-cahn's f makes no operator product, so every product counted
+        # is a G = J Y + b: none for dimsim4's implicit stages, one for
+        # ARK4's explicit (gamma = 0) first stage
+        prob = allen_cahn_benchmark(n=8).problem
+        state = initialize_external(dimsim4, prob, 0.01)
+        calls = []
+        real = KroneckerSum.__matmul__
+
+        def counted(op, y):
+            calls.append(y.shape)
+            return real(op, y)
+
+        monkeypatch.setattr(KroneckerSum, "__matmul__", counted)
+        glm_step(dimsim4, prob, state)
+        assert calls == []
+        ark_step(_m4(), prob, prob.y0, 0.0, 0.01)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", ["fast-diagonalization", "superlu",
+                                      "lapack"])
+    def test_stage_equation_on_every_linear_solver_path(self, path, dimsim4,
+                                                        monkeypatch):
+        # the check recomputes Y - R as the stage did, so its residual is the
+        # rounding of the division and of gamma*G, at most 2 eps ||Y - R||:
+        # below eps ||Y|| while ||Y - R|| < ||Y|| / 2
+        if path == "lapack":
+            prob = dahlquist_split_problem(-1.0 + 2.0j, -5.0 + 3.0j)
+        else:
+            prob = allen_cahn_benchmark(n=8).problem
+            if path == "superlu":
+                prob.stiff_solver = None
+        factored, stages = [], []
+        real_splu, real_stage = integrator.splu, integrator._stage
+
+        def counted_splu(*args, **kwargs):
+            factored.append(args[0].shape)
+            return real_splu(*args, **kwargs)
+
+        def recorded_stage(*args, **kwargs):
+            R = args[1].copy()
+            Y, G = real_stage(*args, **kwargs)
+            assert np.array_equal(args[1], R)    # the caller's R is intact
+            stages.append((args[0], R, Y.copy(), G.copy()))
+            return Y, G
+
+        monkeypatch.setattr(integrator, "splu", counted_splu)
+        monkeypatch.setattr(integrator, "_stage", recorded_stage)
+        state = initialize_external(dimsim4, prob, 0.1)
+        glm_step(dimsim4, prob, state)
+        assert bool(factored) == (path == "superlu")
+        eps = np.finfo(float).eps
+        implicit = [st for st in stages if st[0] != 0.0]
+        assert len(implicit) == dimsim4.s + dimsim4.r - 1
+        for gamma, R, Y, G in implicit:
+            norm_Y = np.linalg.norm(Y)
+            assert np.linalg.norm(Y - R) < 0.5 * norm_Y
+            assert np.linalg.norm(Y - R - gamma * G) <= eps * norm_Y
 
     def test_newton_residual_contract(self, dimsim4):
         # stiff nonlinear g: the returned stage satisfies the implicit
