@@ -249,7 +249,7 @@ class TestStageSolves:
         # fast-diagonalization solve makes four products with the m x m sine
         # matrix S, m = n - 1; each errs by at most gamma_m |S| |Z| (Higham,
         # Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.13),
-        # in norm m eps ||  |S| || ||Z|| <= m^1.5 eps ||Z|| as S is
+        # in norm m eps || |S| || ||Z|| <= m^1.5 eps ||Z|| as S is
         # orthogonal, and ||Z|| <= ||I - gamma J|| ||Y||.  Forming R + gamma b
         # and the scaling by the eigenvalue table D (its own rounding
         # included) add 6 eps ||I - gamma J|| ||Y||; over gamma, ||I - gamma
