@@ -33,7 +33,6 @@ from .integrator import (
     StageSolveConfig,
     StageSolveError,
     StartingConfig,
-    ark_integrate,
     ark_step,
     derivative_weights,
     glm_step,

@@ -17,7 +17,7 @@ import numpy as np
 from .harness import (StudySpec, build_problem, emit_stability,
                       run_convergence, run_workprecision, starter_config,
                       write_study_csv, _fmt)
-from .integrator import IntegrationError, ark_integrate, integrate
+from .integrator import IntegrationError, integrate
 from .methods import resolve_method, ImexRkMethod
 from .problems import ReferenceFailureError, l2_error, reference_solution
 from .stability import StabilityQuery, constrained_region_area, optimize_explicit_component
@@ -42,7 +42,9 @@ def _build_parser() -> _Parser:
     def common(sp, out=True, problem=False, fmt=False):
         sp.add_argument("--method", default="dimsim4",
                         help="dimsim4 | dimsim5 | imex-euler | ark4 | ark5 "
-                             "| path to a method file")
+                             "| path to a method file; converge, "
+                             "work-precision and stability take a "
+                             "comma-separated list")
         if out:
             sp.add_argument("--out", default=None, help="output file or directory")
         if fmt:
@@ -90,13 +92,17 @@ def _parse_steps(text) -> tuple:
     return steps
 
 
+def _method_list(args) -> tuple:
+    return tuple(tok.strip() for tok in args.method.split(",") if tok.strip())
+
+
 def _study_spec(args, require_orders=True) -> StudySpec:
     params = {}
     if getattr(args, "grid_n", None) is not None:
         params["n"] = args.grid_n
     if getattr(args, "alpha", None) is not None and args.problem == "allen-cahn":
         params["alpha"] = args.alpha
-    return StudySpec(problem=args.problem, methods=(args.method,),
+    return StudySpec(problem=args.problem, methods=_method_list(args),
                      steps=_parse_steps(args.steps), problem_params=params,
                      n_ref=args.n_ref, tau_ratio=args.tau_ratio,
                      starter=args.starter, out=args.out,
@@ -124,18 +130,14 @@ def _cmd_integrate(args) -> int:
     prob = build_problem(spec)
     m = resolve_method(args.method)
     N = spec.steps[0]
-    if isinstance(m, ImexRkMethod):
-        res = ark_integrate(m, prob, N)
-    else:
-        res = integrate(m, prob, N, start=starter_config(spec, m))
+    res = integrate(m, prob, N, start=starter_config(spec, m))
     row = {"method": args.method, "problem": args.problem, "N": N,
            "h": res.h, "t": res.t}
     if args.n_ref is not None:
         ref = reference_solution(prob, args.n_ref)
         row["error_vs_reference"] = l2_error(res.y, ref)
     elif prob.exact is not None:
-        t_score = res.t_readout if res.t_readout is not None else res.t
-        row["error_vs_exact"] = l2_error(res.y, prob.exact(t_score))
+        row["error_vs_exact"] = l2_error(res.y, prob.exact(res.t_readout))
     print(json.dumps(row, indent=2, default=float))
     if args.out:
         np.savetxt(args.out, res.y, header=f"{args.method} {args.problem} N={N}")
@@ -192,13 +194,23 @@ def _cmd_workprecision(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    m = resolve_method(args.method)
-    if isinstance(m, ImexRkMethod):
+    methods = {name: resolve_method(name) for name in _method_list(args)}
+    if any(isinstance(m, ImexRkMethod) for m in methods.values()):
         raise IntegrationError("stability export needs a GLM method")
-    out_dir = Path(args.out) if args.out else Path(f"stability_{m.name}")
-    report = emit_stability(m, StabilityQuery(), out_dir)
-    print(json.dumps(report, indent=2, default=float))
-    print(f"# files written to {out_dir}", file=sys.stderr)
+    reports = []
+    for name, m in methods.items():
+        # one method writes to --out itself, a list to --out/<method>, named
+        # as given (a method file by its stem)
+        if args.out is None:
+            out_dir = Path(f"stability_{m.name}")
+        elif len(methods) > 1:
+            out_dir = Path(args.out) / Path(name).stem
+        else:
+            out_dir = Path(args.out)
+        reports.append(emit_stability(m, StabilityQuery(), out_dir))
+        print(f"# files written to {out_dir}", file=sys.stderr)
+    print(json.dumps(reports if len(reports) > 1 else reports[0], indent=2,
+                     default=float))
     return 0
 
 

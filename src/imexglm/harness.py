@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .integrator import (IntegrationError, StageSolveConfig, StartingConfig,
-                         StiffSolverCache, ark_integrate, glm_step,
-                         initialize_external, integrate)
-from .methods import (BUILTIN_METHODS, ImexRkMethod, bundled_ark_path,
-                      resolve_method)
+from .integrator import IntegrationError, StartingConfig, integrate
+from .methods import bundled_ark_path, resolve_method
 from .problems import (DEFAULT_REFERENCE_STEPS, allen_cahn_benchmark,
                        burgers_benchmark, dahlquist_split_problem, l2_error,
                        reference_solution)
@@ -134,13 +130,6 @@ class _ReferenceCache:
         return self._refs[key]
 
 
-def _run_method(m, prob, N, start_cfg, cfg=StageSolveConfig()):
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(m, ImexRkMethod):
-            return ark_integrate(m, prob, N, cfg).y
-        return integrate(m, prob, N, start=start_cfg, cfg=cfg).y
-
-
 def _lsq_slope(rows):
     pts = [(r.N, r.error) for r in rows
            if r.error is not None and np.isfinite(r.error) and r.error > 0]
@@ -167,7 +156,8 @@ def run_convergence(spec: StudySpec, reference_cache=None) -> list:
         for N in spec.steps:
             h = (prob.tF - prob.t0) / N
             try:
-                y = _run_method(m, prob, N, start_cfg)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = integrate(m, prob, N, start=start_cfg).y
                 err = l2_error(y, ref)
                 if not np.isfinite(err):
                     raise IntegrationError(f"non-finite error at N={N}")
@@ -209,32 +199,12 @@ class WorkPrecisionStudy:
             yield f"{r.N},{_fmt(r.h)},{sec},{err}"
 
 
-def _timed_run(m, prob, N, start_cfg, cfg):
-    """One integration with the starting phase timed separately from the
-    stepping phase.  Returns (y, start_seconds, step_seconds)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(m, ImexRkMethod):
-            t0 = time.perf_counter()
-            res = ark_integrate(m, prob, N, cfg)
-            return res.y, 0.0, time.perf_counter() - t0
-        h = (prob.tF - prob.t0) / N
-        cache = StiffSolverCache(prob)
-        t0 = time.perf_counter()
-        state = initialize_external(m, prob, h, start_cfg, cfg, cache)
-        t1 = time.perf_counter()
-        for n in range(N):
-            state = glm_step(m, prob, state, cfg, cache)
-        t2 = time.perf_counter()
-        return state.last_stage, t1 - t0, t2 - t1
-
-
 def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
     """Same runs as run_convergence with wall-clock timing of the stepping
     phase; each run repeated, minimum reported, starter cost separate."""
     cache = reference_cache or _ReferenceCache()
     prob = build_problem(spec)
     ref = cache.get(spec, prob)
-    cfg = StageSolveConfig()
     studies = []
     for name in spec.methods:
         m = resolve_method(name)
@@ -243,11 +213,12 @@ def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
         for N in spec.steps:
             h = (prob.tF - prob.t0) / N
             try:
-                step_times, start_times, y = [], [], None
+                step_times, start_times = [], []
                 for _ in range(max(1, spec.repeats)):
-                    y, t_start, t_step = _timed_run(m, prob, N, start_cfg, cfg)
-                    step_times.append(t_step)
-                    start_times.append(t_start)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        res = integrate(m, prob, N, start=start_cfg)
+                    step_times.append(res.step_seconds)
+                    start_times.append(res.start_seconds)
                 best = min(step_times)
                 spread = (max(step_times) - best) / best if best > 0 else 0.0
                 if spread > 0.2:
@@ -255,7 +226,7 @@ def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
                         f"timing spread {spread:.0%} over repeats at N={N}",
                         RuntimeWarning, stacklevel=2)
                 rows.append(WorkPrecisionRow(
-                    N, h, best, l2_error(y, ref),
+                    N, h, best, l2_error(res.y, ref),
                     start_seconds=min(start_times),
                     repeat_seconds=tuple(step_times)))
             except (IntegrationError, FloatingPointError) as exc:

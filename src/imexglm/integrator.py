@@ -1,5 +1,6 @@
 """Fixed-step IMEX time stepping: GLM steps, stage solves, the starting
-procedure, and a generic additive-RK stepper for comparators.
+procedure, and one whole-interval driver, integrate, for GLMs and additive
+RK pairs alike.
 
 One GLM step advances the external vector y^[n-1] (r blocks of length d)
 through s stages
@@ -9,7 +10,7 @@ through s stages
 
 with f/g evaluated at t + c_i h.  This is one partitioned product, and an
 additive RK pair is the same product with r = 1, U = 1, V = 1 and the
-weight vectors as B and Bhat, so glm_step and ark_step share one stage
+weight vectors as B and Bhat, so glm_step steps both through one stage
 sweep over a per-step work array
 
     W = [y_1, ..., y_r, F_1, G_1, F_2, G_2, ..., F_s, G_s]    (r + 2s rows),
@@ -19,7 +20,10 @@ W[:r+2(i-1)]: its right-hand side is one product of the coefficient row
 [u_i1 .. u_ir, h a_i1, h ahat_i1, .., h a_i,i-1, h ahat_i,i-1] with them,
 and the update is one product [V | h B, h Bhat interleaved] @ W.  The
 coefficient rows depend only on (method, h) and are built once per run
-(StiffSolverCache.stage_rows).
+(StiffSolverCache.stage_rows).  integrate steps a GLM from the external
+vector of the starting procedure and reads the solution off its last
+stage; it steps an additive RK pair from the one-block state y0 and reads
+the solution off that block.
 
 A linear stiff part g = J y + b(t) is given once, as (stiff_matrix,
 stiff_forcing); its diagonally implicit stage solves then share one solver
@@ -43,6 +47,7 @@ never loads scipy.sparse.
 from __future__ import annotations
 
 import os
+import time
 import warnings
 from dataclasses import dataclass, field
 from math import factorial
@@ -119,7 +124,7 @@ class SemiDiscreteProblem:
 @dataclass
 class ExternalState:
     """The r external blocks at time t, plus the last stage of the step
-    that produced them (the solution readout, valid since c_s = 1)."""
+    that produced them (a GLM's solution readout, valid since c_s = 1)."""
 
     t: float
     h: float
@@ -351,11 +356,22 @@ def solve_stage(i, rhs, m: ImexGlmMethod, prob, t, h,
 
 
 # ---------------------------------------------------------------------------
-# the stage sweep shared by GLM and additive-RK steps
+# one step, of a GLM or of an additive RK pair read as a GLM
 
-def _sweep(rows: StageRows, W, prob, t, cfg, cache):
-    """Fill the F and G rows of the work array W stage by stage (W[:r]
-    holds the incoming blocks) and return the last stage value."""
+def glm_step(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
+             state: ExternalState, cfg: StageSolveConfig | None = None,
+             cache: StiffSolverCache | None = None) -> ExternalState:
+    """Advance the external vector by one step of size state.h: fill the F
+    and G rows of the work array W stage by stage, then update."""
+    cfg = cfg or StageSolveConfig()
+    cache = cache or StiffSolverCache(prob)
+    h, t = state.h, state.t
+    rows = cache.stage_rows(m, h)
+    r, width = rows.update.shape
+    if state.r != r:
+        raise ValueError(f"state has {state.r} blocks, method wants {r}")
+    W = np.empty((width, prob.d))
+    W[:r] = state.blocks
     Y = W[0]
     for i, coef in enumerate(rows.stage):
         k = coef.size      # r + 2i: stage i reads W[:k] and writes F, G at k
@@ -363,24 +379,16 @@ def _sweep(rows: StageRows, W, prob, t, cfg, cache):
         Y, W[k + 1] = _stage(rows.gamma[i], coef @ W[:k], prob, t_i, cfg,
                              cache, predictor=Y, stage_index=i)
         W[k] = prob.f(t_i, Y)
-    return Y
+    return ExternalState(t=t + h, h=h, blocks=rows.update @ W, last_stage=Y)
 
 
-def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem, state: ExternalState,
+def ark_step(mrk: ImexRkMethod, prob: SemiDiscreteProblem, y, t, h,
              cfg: StageSolveConfig | None = None,
-             cache: StiffSolverCache | None = None) -> ExternalState:
-    """Advance the external vector by one step of size state.h."""
-    if state.r != m.r:
-        raise ValueError(f"state has {state.r} blocks, method wants {m.r}")
-    cfg = cfg or StageSolveConfig()
-    cache = cache or StiffSolverCache(prob)
-    h, r = state.h, m.r
-    rows = cache.stage_rows(m, h)
-    W = np.empty((r + 2 * m.s, prob.d))
-    W[:r] = state.blocks
-    Y = _sweep(rows, W, prob, state.t, cfg, cache)
-    return ExternalState(t=state.t + h, h=h, blocks=rows.update @ W,
-                         last_stage=Y)
+             cache: StiffSolverCache | None = None) -> np.ndarray:
+    """One additive-RK step from (t, y) to t + h: a glm_step on the
+    one-block state."""
+    state = ExternalState(t, h, y[None])
+    return glm_step(mrk, prob, state, cfg, cache).blocks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +484,7 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
 
 
 # ---------------------------------------------------------------------------
-# whole-interval drivers
+# the whole-interval driver
 
 @dataclass
 class IntegrationResult:
@@ -484,29 +492,43 @@ class IntegrationResult:
     y: np.ndarray
     n_steps: int
     h: float
-    t_readout: float | None = None     # time the readout y approximates
-    state: ExternalState | None = None
+    t_readout: float                   # time the readout y approximates
+    state: ExternalState
+    start_seconds: float               # wall clock of the starting procedure
+    step_seconds: float                # wall clock of the n_steps steps
     trajectory: list = field(default_factory=list)
 
 
-def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem, n_steps: int,
-              start: StartingConfig | None = None,
+def integrate(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
+              n_steps: int, start: StartingConfig | None = None,
               cfg: StageSolveConfig | None = None,
               record_trajectory: bool = False) -> IntegrationResult:
-    """initialize_external + n_steps glm_steps; returns Y_s of the final
-    step as the solution readout.
+    """n_steps glm_steps over [t0, tF], from the starting procedure's
+    external vector for a GLM and from the one-block state y0 for an
+    additive RK pair.
 
-    The readout approximates y(tF - h + c_s h), which is y(tF) for the
-    abscissa layout c_s = 1 used by the built-in methods.  t_readout on the
-    result records that time so first-order comparators with c_s = 0 can be
-    scored against the right instant.
+    A GLM's readout is Y_s of the final step, which approximates
+    y(tF - h + c_s h): y(tF) for the abscissa layout c_s = 1 used by the
+    built-in methods.  t_readout on the result records that time so
+    first-order comparators with c_s = 0 can be scored against the right
+    instant.  An additive RK pair's readout is its block, at t_readout = t.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     cfg = cfg or StageSolveConfig()
     h = (prob.tF - prob.t0) / n_steps
     cache = StiffSolverCache(prob)
-    state = initialize_external(m, prob, h, start, cfg, cache)
+    ark = isinstance(m, ImexRkMethod)
+    readout = (lambda st: st.blocks[0]) if ark else (lambda st: st.last_stage)
+    t_start = time.perf_counter()
+    if ark:
+        state = ExternalState(prob.t0, h, prob.y0[None])
+    else:
+        try:
+            state = initialize_external(m, prob, h, start, cfg, cache)
+        except (StageSolveError, IntegrationError) as exc:
+            raise IntegrationError(f"starting procedure failed: {exc}") from exc
+    t_step = time.perf_counter()
     traj = []
     for n in range(n_steps):
         try:
@@ -515,47 +537,10 @@ def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem, n_steps: int,
             raise IntegrationError(
                 f"step {n + 1}/{n_steps} at t={state.t:.6g} failed: {exc}") from exc
         if record_trajectory:
-            traj.append((state.t, state.last_stage.copy()))
-    t_read = state.t - h + float(m.c[-1]) * h
-    return IntegrationResult(t=state.t, y=state.last_stage, n_steps=n_steps,
-                             h=h, t_readout=t_read, state=state, trajectory=traj)
-
-
-def ark_step(mrk: ImexRkMethod, prob: SemiDiscreteProblem, y, t, h,
-             cfg: StageSolveConfig | None = None,
-             cache: StiffSolverCache | None = None) -> np.ndarray:
-    """One additive-RK step from (t, y) to t + h."""
-    cfg = cfg or StageSolveConfig()
-    cache = cache or StiffSolverCache(prob)
-    rows = cache.stage_rows(mrk, h)
-    W = np.empty((1 + 2 * mrk.sigma, prob.d))
-    W[0] = y
-    _sweep(rows, W, prob, t, cfg, cache)
-    out = rows.update[0] @ W
-    if not np.isfinite(out).all():
-        raise IntegrationError(f"non-finite additive-RK update at t={t}")
-    return out
-
-
-def ark_integrate(mrk: ImexRkMethod, prob: SemiDiscreteProblem, n_steps: int,
-                  cfg: StageSolveConfig | None = None,
-                  record_trajectory: bool = False) -> IntegrationResult:
-    """Fixed-step additive-RK run over [t0, tF] (comparator driver)."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    cfg = cfg or StageSolveConfig()
-    h = (prob.tF - prob.t0) / n_steps
-    cache = StiffSolverCache(prob)
-    y, t = prob.y0, prob.t0
-    traj = []
-    for n in range(n_steps):
-        try:
-            y = ark_step(mrk, prob, y, t, h, cfg, cache)
-        except (StageSolveError, IntegrationError) as exc:
-            raise IntegrationError(
-                f"step {n + 1}/{n_steps} at t={t:.6g} failed: {exc}") from exc
-        t = t + h          # bit for bit the last stage's t + 1.0*h, as in glm_step
-        if record_trajectory:
-            traj.append((t, y.copy()))
-    return IntegrationResult(t=t, y=y, n_steps=n_steps, h=h, t_readout=t,
-                             trajectory=traj)
+            traj.append((state.t, readout(state).copy()))
+    t_end = time.perf_counter()
+    t_read = state.t if ark else state.t - h + float(m.c[-1]) * h
+    return IntegrationResult(t=state.t, y=readout(state), n_steps=n_steps,
+                             h=h, t_readout=t_read, state=state,
+                             start_seconds=t_step - t_start,
+                             step_seconds=t_end - t_step, trajectory=traj)

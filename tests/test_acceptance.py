@@ -21,7 +21,7 @@ import pytest
 
 from imexglm.harness import StudySpec, _ReferenceCache, run_convergence
 from imexglm.integrator import (ExternalState, SemiDiscreteProblem,
-                                StartingConfig, ark_integrate, glm_step,
+                                StartingConfig, glm_step,
                                 initialize_external, integrate)
 from imexglm.methods import (builtin_imex_dimsim4, bundled_ark_path,
                              load_ark_method)
@@ -211,7 +211,7 @@ def test_criterion_6_order_reduction_contrast(capsys):
     ref = reference_solution(prob, 33280)
     steps = (25, 50, 100, 200)
     ark = load_ark_method(bundled_ark_path(4))
-    errs_ark = [l2_error(ark_integrate(ark, prob, N).y, ref) for N in steps]
+    errs_ark = [l2_error(integrate(ark, prob, N).y, ref) for N in steps]
     m4 = builtin_imex_dimsim4()
     start = StartingConfig(scheme="imex-euler", tau_ratio=0.5)
     errs_glm = [l2_error(integrate(m4, prob, N, start=start).y, ref)

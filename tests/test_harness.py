@@ -11,6 +11,7 @@ from imexglm.harness import (STABILITY_ALPHAS, ConvergenceStudy, StudySpec,
                              _ReferenceCache, build_problem, emit_stability,
                              run_convergence, run_workprecision,
                              starter_config, write_study_csv)
+from imexglm.integrator import SemiDiscreteProblem
 from imexglm.methods import bundled_ark_path, load_ark_method
 from imexglm.tableau import method_to_dict, save_method
 
@@ -130,6 +131,39 @@ class TestConvergence:
         # blank cells, not poisoned values, in the CSV
         lines = list(study.csv_lines())
         assert lines[1].endswith(",,")
+
+
+def nan_stiff_problem(t_bad):
+    """y' = -y - 2y on [0, 1] with the nonlinear-path stiff part -2y, which
+    turns NaN from t = t_bad on: the Newton stage solve then fails."""
+    return SemiDiscreteProblem(
+        name="nan-g", d=1, t0=0.0, tF=1.0, y0=np.array([1.0]),
+        f=lambda t, y: -y,
+        g=lambda t, y: -2.0 * y if t < t_bad else np.full_like(y, np.nan),
+        g_jacobian=lambda t, y: np.array([[-2.0]]))
+
+
+class TestStageFailureRows:
+    """A failed stage solve, in a step or in the starter, becomes a failure
+    row in both studies and the study goes on."""
+
+    @pytest.mark.parametrize("t_bad, message", [
+        (0.5, "step 5/10 at t=0.4 failed"),
+        (1e-3, "starting procedure failed"),
+    ])
+    def test_both_studies_record_the_failure(self, t_bad, message,
+                                             monkeypatch):
+        monkeypatch.setattr(harness, "build_problem",
+                            lambda spec: nan_stiff_problem(t_bad))
+        spec = dahlquist_spec(steps=(10,), require_orders=False, n_ref=100,
+                              repeats=1)
+        cache = _ReferenceCache()
+        cache._refs[("dahlquist", (), 100)] = np.exp(-3.0) * np.ones(1)
+        (conv,) = run_convergence(spec, cache)
+        (wp,) = run_workprecision(spec, cache)
+        for row in (conv.rows[0], wp.rows[0]):
+            assert row.error is None
+            assert message in row.failure and "Newton" in row.failure
 
 
 class TestWorkPrecision:
@@ -262,6 +296,38 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "N,h,error,pairwise_order"
         assert len(lines) == 4
+
+    def test_studies_take_a_method_list(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        rc = cli_main(["converge", "--problem", "dahlquist",
+                       "--method", "dimsim4,ark4", "--steps", "8,16,32",
+                       "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("least-squares slope") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "conv_ark4.csv", "conv_dimsim4.csv"]
+        out = tmp_path / "wp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli_main(["work-precision", "--problem", "dahlquist",
+                           "--method", "dimsim4,ark4", "--steps", "8,16,32",
+                           "--format", "json", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert [st["method"] for st in payload] == ["dimsim4", "ark4"]
+        assert all(r["failure"] is None for st in payload for r in st["rows"])
+
+    def test_stability_takes_a_method_list(self, euler_glm, tmp_path, capsys):
+        path = tmp_path / "euler-file.json"
+        save_method(euler_glm, path)
+        out = tmp_path / "regions"
+        rc = cli_main(["stability", "--method", f"imex-euler,{path}",
+                       "--out", str(out)])
+        assert rc == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in reports] == ["imex-euler", "imex-euler"]
+        for sub, report in zip(("imex-euler", "euler-file"), reports):
+            assert json.loads((out / sub / "areas.json").read_text()) == report
 
     def test_optimize_with_tiny_budget(self, capsys):
         rc = cli_main(["optimize-explicit", "--method", "dimsim4",

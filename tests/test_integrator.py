@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,16 @@ import imexglm.integrator as integrator
 from imexglm.integrator import (ExternalState, IntegrationError,
                                 SemiDiscreteProblem, StageSolveConfig,
                                 StageSolveError, StartingConfig,
-                                ark_integrate, ark_step, derivative_weights,
+                                ark_step, derivative_weights,
                                 glm_step, imex_euler_ark, initialize_external,
                                 integrate, rescaling_matrix, solve_stage)
-from imexglm.methods import ImexRkMethod, bundled_ark_path
+from imexglm.harness import (StudySpec, _ReferenceCache, build_problem,
+                             run_convergence, run_workprecision)
+from imexglm.methods import (ImexRkMethod, bundled_ark_path, load_ark_method,
+                             resolve_method)
 from imexglm.problems import (KroneckerSum, allen_cahn_benchmark,
-                              burgers_benchmark, dahlquist_split_problem)
+                              burgers_benchmark, dahlquist_split_problem,
+                              l2_error)
 from imexglm.stability import imex_stability_matrix
 
 
@@ -189,7 +195,7 @@ class TestStageSolves:
         start5 = StartingConfig(scheme=bundled_ark_path(4))
         runs = {"dimsim4": (lambda p: integrate(dimsim4, p, 40), 2),
                 "dimsim5": (lambda p: integrate(dimsim5, p, 40, start=start5), 2),
-                "ark4": (lambda p: ark_integrate(_m4(), p, 40), 1)}
+                "ark4": (lambda p: integrate(_m4(), p, 40), 1)}
         superlu = {}
         for label, (run, _) in runs.items():
             prob = make(n=10).problem
@@ -439,7 +445,7 @@ class TestFailurePropagation:
         with pytest.raises(ValueError):
             integrate(dimsim4, prob, 0)
         with pytest.raises(ValueError):
-            ark_integrate(imex_euler_ark(), prob, 0)
+            integrate(imex_euler_ark(), prob, 0)
 
 
 def classical_rk4():
@@ -494,15 +500,13 @@ class TestArkStepper:
         prob = dahlquist_split_problem(-0.7, -2.5, t_final=1.0)
         N = 10
         res_glm = integrate(euler_glm, prob, N)
-        res_ark = ark_integrate(imex_euler_ark(), prob, N,
-                                record_trajectory=True)
+        res_ark = integrate(imex_euler_ark(), prob, N, record_trajectory=True)
         t_prev, y_prev = res_ark.trajectory[N - 2]
         assert res_glm.t_readout == pytest.approx(t_prev, abs=1e-12)
         assert np.allclose(res_glm.y, y_prev, rtol=1e-14, atol=0)
 
 
 def _m4():
-    from imexglm.methods import load_ark_method
     return load_ark_method(bundled_ark_path(4))
 
 
@@ -621,23 +625,102 @@ class TestStageKernel:
         assert info.value.stage == 1
 
     def test_nonfinite_ark_update_raises(self):
-        # every classical RK4 stage is explicit, so only the update check sees it
+        # every classical RK4 stage is explicit, so only the check on the
+        # updated external state sees it
         prob = SemiDiscreteProblem(
             name="inf-f", d=1, t0=0.0, tF=1.0, y0=np.array([1.0]),
             f=lambda t, y: np.array([np.inf]), stiff_matrix=np.zeros((1, 1)))
-        with pytest.raises(IntegrationError, match="non-finite additive-RK update"):
+        with pytest.raises(IntegrationError, match="non-finite external state"):
             ark_step(classical_rk4(), prob, prob.y0, 0.0, 0.1)
         with pytest.raises(IntegrationError, match=r"step 1/4"):
-            ark_integrate(classical_rk4(), prob, 4)
+            integrate(classical_rk4(), prob, 4)
+
+
+def reference_ark_integrate(mrk, prob, n_steps):
+    """The former standalone additive-RK driver: its own clock t <- t + h,
+    its own work array and stage sweep, and the update as the vector
+    product update[0] @ W.  Returns (y, t, trajectory)."""
+    h = (prob.tF - prob.t0) / n_steps
+    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    rows = cache.stage_rows(mrk, h)
+    y, t, traj = prob.y0, prob.t0, []
+    for _ in range(n_steps):
+        W = np.empty((1 + 2 * mrk.sigma, prob.d))
+        W[0] = y
+        Y = W[0]
+        for i, coef in enumerate(rows.stage):
+            k = coef.size
+            t_i = t + rows.dt[i]
+            Y, W[k + 1] = integrator._stage(rows.gamma[i], coef @ W[:k], prob,
+                                            t_i, cfg, cache, predictor=Y,
+                                            stage_index=i)
+            W[k] = prob.f(t_i, Y)
+        y = rows.update[0] @ W
+        t = t + h
+        traj.append((t, y.copy()))
+    return y, t, traj
+
+
+ORACLE_PROBLEMS = {
+    "dahlquist": lambda: dahlquist_split_problem(-1.0, -6.0),
+    "allen-cahn-n10": lambda: allen_cahn_benchmark(n=10).problem,
+    "burgers-n10": lambda: burgers_benchmark(n=10).problem,
+}
+ORACLE_METHODS = {
+    "ark4": _m4,
+    "ark5": lambda: load_ark_method(bundled_ark_path(5)),
+    "imex-euler-ark": imex_euler_ark,
+    "rk4": classical_rk4,
+}
+
+
+class TestArkThroughIntegrate:
+    """integrate steps an additive RK pair as a one-block GLM; its results
+    are bitwise those of the standalone driver it replaced."""
+
+    @pytest.mark.parametrize("problem", ORACLE_PROBLEMS)
+    @pytest.mark.parametrize("method", ORACLE_METHODS)
+    def test_bitwise_equal_to_reference_driver(self, problem, method):
+        mrk, N = ORACLE_METHODS[method](), 25
+        want_y, want_t, want_traj = reference_ark_integrate(
+            mrk, ORACLE_PROBLEMS[problem](), N)
+        res = integrate(mrk, ORACLE_PROBLEMS[problem](), N,
+                        record_trajectory=True)
+        assert np.array_equal(res.y, want_y)
+        assert res.t == want_t and res.t_readout == want_t
+        assert len(res.trajectory) == N
+        for (t, y), (tw, yw) in zip(res.trajectory, want_traj):
+            assert t == tw and np.array_equal(y, yw)
+        assert res.state.r == 1 and res.state.t == want_t
+
+    def test_studies_report_the_reference_errors(self):
+        spec = StudySpec(problem="allen-cahn", problem_params={"n": 10},
+                         methods=("ark4", "ark5"), steps=(20, 40, 80),
+                         n_ref=400, repeats=1)
+        cache = _ReferenceCache()
+        conv = run_convergence(spec, cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            wp = run_workprecision(spec, cache)
+        prob = build_problem(spec)
+        ref = cache.get(spec, prob)
+        for cs, ws in zip(conv, wp):
+            mrk = resolve_method(cs.method)
+            for cr, wr in zip(cs.rows, ws.rows):
+                want = l2_error(reference_ark_integrate(mrk, prob, cr.N)[0], ref)
+                assert cr.error == want and wr.error == want, (cs.method, cr.N)
+
+    def test_run_records_its_phase_times(self, dimsim4):
+        prob = dahlquist_split_problem(-1.0, -6.0)
+        for m in (dimsim4, _m4()):
+            res = integrate(m, prob, 20)
+            assert res.start_seconds >= 0.0 and res.step_seconds > 0.0
 
 
 def observed_order(m_or_rk, prob, steps, start=None):
     errs = []
     for N in steps:
-        if isinstance(m_or_rk, ImexRkMethod):
-            res = ark_integrate(m_or_rk, prob, N)
-        else:
-            res = integrate(m_or_rk, prob, N, start=start)
+        res = integrate(m_or_rk, prob, N, start=start)
         errs.append(np.linalg.norm(res.y - prob.exact(res.t_readout)))
     logs = np.log(errs)
     slope, _ = np.polyfit(np.log([1.0 / n for n in steps]), logs, 1)

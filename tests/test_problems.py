@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm import integrator, problems
-from imexglm.integrator import (StageSolveError, StartingConfig, ark_integrate,
-                                integrate)
+from imexglm.integrator import StageSolveError, StartingConfig, integrate
 from imexglm.methods import bundled_ark_path, resolve_method
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
@@ -454,13 +453,13 @@ class TestTimeMemo:
         assert sum(prob.t0 + (k + 1) * h != (prob.t0 + k * h) + 1.0 * h
                    for k in range(N)) == 11
         stage_times, t = [], prob.t0
-        for _ in range(N):                   # ark_integrate's clock: t <- t + h
+        for _ in range(N):                   # glm_step's clock: t <- t + h
             stage_times += [t + float(c) * h for c in ark4.c]
             t = t + h
         distinct = list(dict.fromkeys(stage_times))
         assert len(distinct) == N * (ark4.sigma - 1) + 1
         rings.clear(), sources.clear()
-        ark_integrate(ark4, prob, N)
+        integrate(ark4, prob, N)
         assert times(rings) == distinct
         if make is allen_cahn_benchmark:
             assert times(sources) == distinct
