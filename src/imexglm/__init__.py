@@ -7,6 +7,7 @@ from .tableau import (
     ImexGlmMethod,
     MethodFileError,
     MethodValidationReport,
+    additive_rk_pair,
     dimsim_b_matrix,
     imex_dimsim,
     load_method,
@@ -17,7 +18,6 @@ from .tableau import (
 )
 from .methods import (
     BUILTIN_METHODS,
-    ImexRkMethod,
     builtin_imex_dimsim4,
     builtin_imex_dimsim5,
     builtin_imex_euler,

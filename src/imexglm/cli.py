@@ -18,10 +18,10 @@ from .harness import (StudySpec, build_problem, emit_stability,
                       run_convergence, run_workprecision, starter_config,
                       write_study_csv, _fmt)
 from .integrator import IntegrationError, integrate
-from .methods import resolve_method, ImexRkMethod
+from .methods import resolve_method
 from .problems import ReferenceFailureError, l2_error, reference_solution
 from .stability import StabilityQuery, constrained_region_area, optimize_explicit_component
-from .tableau import ImexGlmMethod, save_method, validate_method
+from .tableau import save_method, validate_method
 
 USAGE_EXIT = 64
 
@@ -115,9 +115,9 @@ def _cmd_validate(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    if isinstance(m, ImexRkMethod):
+    if m.is_additive_rk:
         # loader already enforced shape/abscissa consistency
-        print(f"{m.name}: additive RK pair, {m.sigma} stages, "
+        print(f"{m.name}: additive RK pair, {m.s} stages, "
               f"row sums match abscissae")
         return 0
     report = validate_method(m)
@@ -195,8 +195,6 @@ def _cmd_workprecision(args) -> int:
 
 def _cmd_stability(args) -> int:
     methods = {name: resolve_method(name) for name in _method_list(args)}
-    if any(isinstance(m, ImexRkMethod) for m in methods.values()):
-        raise IntegrationError("stability export needs a GLM method")
     reports = []
     for name, m in methods.items():
         # one method writes to --out itself, a list to --out/<method>, named
@@ -216,8 +214,9 @@ def _cmd_stability(args) -> int:
 
 def _cmd_optimize(args) -> int:
     m = resolve_method(args.method)
-    if not isinstance(m, ImexGlmMethod):
-        raise IntegrationError("optimizer needs a GLM method")
+    if m.s != m.r:
+        # the explicit B is rebuilt from the DIMSIM order conditions
+        raise IntegrationError("optimizer needs a DIMSIM pair (s = r)")
     # coarse query keeps a 2000-evaluation budget within minutes
     q = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
                        n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)

@@ -78,18 +78,14 @@ def _reference_steps(spec: StudySpec) -> int:
     return DEFAULT_REFERENCE_STEPS.get(spec.problem, 10000)
 
 
-def starter_config(spec: StudySpec, m) -> StartingConfig:
+def starter_config(spec: StudySpec, m: ImexGlmMethod) -> StartingConfig:
     """Starter selection: IMEX Euler micro-steps by default, switching to
     the bundled fourth-order ARK starter for methods of order five and up
     (the Euler starter costs them observed order)."""
-    if spec.starter == "auto":
-        scheme = "imex-euler"
-        if isinstance(m, ImexGlmMethod) and m.p >= 5:
-            scheme = bundled_ark_path(4)
-        return StartingConfig(scheme=scheme, tau_ratio=spec.tau_ratio)
-    if spec.starter == "imex-euler":
-        return StartingConfig(scheme="imex-euler", tau_ratio=spec.tau_ratio)
-    return StartingConfig(scheme=spec.starter, tau_ratio=spec.tau_ratio)
+    scheme = spec.starter
+    if scheme == "auto":
+        scheme = bundled_ark_path(4) if m.p >= 5 else "imex-euler"
+    return StartingConfig(scheme=scheme, tau_ratio=spec.tau_ratio)
 
 
 @dataclass

@@ -9,9 +9,9 @@ through s stages
     y_i^[n] = h sum_j (b_ij f(Y_j) + bhat_ij g(Y_j)) + sum_j v_ij y_j,
 
 with f/g evaluated at t + c_i h.  This is one partitioned product, and an
-additive RK pair is the same product with r = 1, U = 1, V = 1 and the
-weight vectors as B and Bhat, so glm_step steps both through one stage
-sweep over a per-step work array
+additive RK pair is the one-value GLM pair with r = 1, U = e, V = 1 and
+the weight vectors as B and Bhat (tableau.additive_rk_pair), so glm_step
+steps both through one stage sweep over a per-step work array
 
     W = [y_1, ..., y_r, F_1, G_1, F_2, G_2, ..., F_s, G_s]    (r + 2s rows),
 
@@ -22,8 +22,8 @@ and the update is one product [V | h B, h Bhat interleaved] @ W.  The
 coefficient rows depend only on (method, h) and are built once per run
 (StiffSolverCache.stage_rows).  integrate steps a GLM from the external
 vector of the starting procedure and reads the solution off its last
-stage; it steps an additive RK pair from the one-block state y0 and reads
-the solution off that block.
+stage; it steps an additive RK pair (ImexGlmMethod.is_additive_rk) from
+the one-block state y0 and reads the solution off that block.
 
 A linear stiff part g = J y + b(t) is given once, as (stiff_matrix,
 stiff_forcing); its diagonally implicit stage solves then share one solver
@@ -55,8 +55,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .methods import ImexRkMethod, load_ark_method
-from .tableau import ImexGlmMethod
+from .methods import load_ark_method
+from .tableau import ImexGlmMethod, additive_rk_pair
 
 
 class StageSolveError(RuntimeError):
@@ -156,26 +156,19 @@ class StageSolveConfig:
 @dataclass(frozen=True)
 class StartingConfig:
     """Starting micro-step tau and the auxiliary scheme that generates the
-    r-1 micro-solutions.  scheme is 'imex-euler', an ImexRkMethod, or a
-    path to an ARK coefficient file."""
+    r-1 micro-solutions.  scheme is 'imex-euler', an additive RK pair, or
+    a path to an ARK coefficient file."""
 
-    tau_ratio: float | None = None     # tau as a fraction of h; None: 1/2
+    tau_ratio: float = 0.5             # tau as a fraction of h
     scheme: object = "imex-euler"
 
-    def resolve_tau(self, h: float) -> float:
-        ratio = 0.5 if self.tau_ratio is None else float(self.tau_ratio)
-        return ratio * h
 
-
-def imex_euler_ark() -> ImexRkMethod:
+def imex_euler_ark() -> ImexGlmMethod:
     """IMEX Euler as a 2-stage additive RK pair (forward/backward Euler)."""
-    return ImexRkMethod(
-        name="imex-euler-ark",
-        c=np.array([0.0, 1.0]),
-        A_explicit=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        b_explicit=np.array([1.0, 0.0]),
-        A_implicit=np.array([[0.0, 0.0], [0.0, 1.0]]),
-        b_implicit=np.array([0.0, 1.0]),
+    return additive_rk_pair(
+        "imex-euler-ark", [0.0, 1.0],
+        A_explicit=[[0.0, 0.0], [1.0, 0.0]], b_explicit=[1.0, 0.0],
+        A_implicit=[[0.0, 0.0], [0.0, 1.0]], b_implicit=[0.0, 1.0],
     )
 
 
@@ -192,15 +185,9 @@ class StageRows(NamedTuple):
     dt: tuple           # c_i * h, the stage time offsets
 
 
-def stage_rows(m: ImexGlmMethod | ImexRkMethod, h: float) -> StageRows:
-    """Build the StageRows of a GLM, or of an additive RK pair read as a
-    GLM with r = 1, U = 1, V = 1 and the weight vectors as B and Bhat."""
-    if isinstance(m, ImexRkMethod):
-        U, V = np.ones((m.sigma, 1)), np.ones((1, 1))
-        A, Ah = m.A_explicit, m.A_implicit
-        B, Bh = m.b_explicit[None, :], m.b_implicit[None, :]
-    else:
-        U, V, A, Ah, B, Bh = m.explicit.U, m.explicit.V, m.A, m.Ahat, m.B, m.Bhat
+def stage_rows(m: ImexGlmMethod, h: float) -> StageRows:
+    """Build the StageRows of a GLM pair."""
+    U, V, A, Ah, B, Bh = m.explicit.U, m.explicit.V, m.A, m.Ahat, m.B, m.Bhat
     s, r = U.shape
     C = np.zeros((s, r + 2 * s))
     C[:, :r], C[:, r::2], C[:, r + 1::2] = U, h * A, h * Ah
@@ -356,9 +343,9 @@ def solve_stage(i, rhs, m: ImexGlmMethod, prob, t, h,
 
 
 # ---------------------------------------------------------------------------
-# one step, of a GLM or of an additive RK pair read as a GLM
+# one step, of a GLM or of an additive RK pair (the one-value case)
 
-def glm_step(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
+def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem,
              state: ExternalState, cfg: StageSolveConfig | None = None,
              cache: StiffSolverCache | None = None) -> ExternalState:
     """Advance the external vector by one step of size state.h: fill the F
@@ -382,7 +369,7 @@ def glm_step(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
     return ExternalState(t=t + h, h=h, blocks=rows.update @ W, last_stage=Y)
 
 
-def ark_step(mrk: ImexRkMethod, prob: SemiDiscreteProblem, y, t, h,
+def ark_step(mrk: ImexGlmMethod, prob: SemiDiscreteProblem, y, t, h,
              cfg: StageSolveConfig | None = None,
              cache: StiffSolverCache | None = None) -> np.ndarray:
     """One additive-RK step from (t, y) to t + h: a glm_step on the
@@ -427,9 +414,9 @@ def _starter_stepper(scheme, cfg, cache):
         scheme = imex_euler_ark()
     elif isinstance(scheme, (str, os.PathLike)):
         scheme = load_ark_method(scheme)
-    if not isinstance(scheme, ImexRkMethod):
-        raise TypeError("starting scheme must be 'imex-euler', an ImexRkMethod, "
-                        "or a path to an ARK file")
+    if not getattr(scheme, "is_additive_rk", False):
+        raise TypeError("starting scheme must be 'imex-euler', an additive "
+                        "RK pair, or a path to an ARK file")
 
     def step(prob, y, t, tau):
         return ark_step(scheme, prob, y, t, tau, cfg, cache)
@@ -457,7 +444,7 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
     cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
     r = m.r
-    tau = start.resolve_tau(h)
+    tau = start.tau_ratio * h
     if not 0.0 < tau <= h:
         raise ValueError(f"starting micro-step tau={tau} outside (0, h]")
 
@@ -499,13 +486,13 @@ class IntegrationResult:
     trajectory: list = field(default_factory=list)
 
 
-def integrate(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
+def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
               n_steps: int, start: StartingConfig | None = None,
               cfg: StageSolveConfig | None = None,
               record_trajectory: bool = False) -> IntegrationResult:
     """n_steps glm_steps over [t0, tF], from the starting procedure's
     external vector for a GLM and from the one-block state y0 for an
-    additive RK pair.
+    additive RK pair (m.is_additive_rk), whose start is the identity.
 
     A GLM's readout is Y_s of the final step, which approximates
     y(tF - h + c_s h): y(tF) for the abscissa layout c_s = 1 used by the
@@ -518,7 +505,7 @@ def integrate(m: ImexGlmMethod | ImexRkMethod, prob: SemiDiscreteProblem,
     cfg = cfg or StageSolveConfig()
     h = (prob.tF - prob.t0) / n_steps
     cache = StiffSolverCache(prob)
-    ark = isinstance(m, ImexRkMethod)
+    ark = m.is_additive_rk
     readout = (lambda st: st.blocks[0]) if ark else (lambda st: st.last_stage)
     t_start = time.perf_counter()
     if ark:

@@ -7,17 +7,17 @@ that the printed B blocks and starting weights agree with the order
 conditions to the precision those digits allow, and the test suite runs it
 on every builtin GLM pair.
 
-Additive Runge-Kutta (ARK/IMEX-RK) comparator coefficients are not baked
-into code: they live in JSON data files (see data/) and are loaded through
-load_ark_method.  Two Kennedy-Carpenter pairs, ARK4(3)6L[2]SA and
-ARK5(4)8L[2]SA, ship with the package; the JSON is regenerated from exact
-rationals by scripts/make_ark_tables.py.
+Additive Runge-Kutta (ARK/IMEX-RK) comparators are the one-value case of
+the same ImexGlmMethod (tableau.additive_rk_pair).  Their coefficients are
+not baked into code: they live in JSON data files (see data/) and are
+loaded through load_ark_method.  Two Kennedy-Carpenter pairs,
+ARK4(3)6L[2]SA and ARK5(4)8L[2]SA, ship with the package; the JSON is
+regenerated from exact rationals by scripts/make_ark_tables.py.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .tableau import (
     GlmTableau,
     ImexGlmMethod,
     MethodFileError,
-    _readonly,
+    additive_rk_pair,
     load_method,
     starting_weight_matrix,
 )
@@ -172,41 +172,12 @@ def builtin_imex_euler() -> ImexGlmMethod:
     )
 
 
-@dataclass(frozen=True)
-class ImexRkMethod:
-    """Additive (IMEX) Runge-Kutta pair with shared abscissae.
-
-    Stage i combines explicit coupling A_explicit (strictly lower) for the
-    nonstiff part with lower-triangular A_implicit for the stiff part; the
-    update uses the two weight vectors.
-    """
-
-    name: str
-    c: np.ndarray           # (sigma,)
-    A_explicit: np.ndarray  # (sigma, sigma)
-    b_explicit: np.ndarray  # (sigma,)
-    A_implicit: np.ndarray  # (sigma, sigma)
-    b_implicit: np.ndarray  # (sigma,)
-
-    def __post_init__(self):
-        for name in ("c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        # the stage solves read only the lower triangles
-        if np.triu(self.A_explicit).any():
-            raise ValueError("A_explicit must be strictly lower triangular")
-        if np.triu(self.A_implicit, 1).any():
-            raise ValueError("A_implicit must be lower triangular")
-
-    @property
-    def sigma(self) -> int:
-        return self.c.size
-
-
 _ARK_ABSCISSAE_TOL = 1e-10
 
 
-def load_ark_method(path) -> ImexRkMethod:
-    """Load an additive RK pair from a JSON coefficient file.
+def load_ark_method(path) -> ImexGlmMethod:
+    """Load an additive RK pair, as a one-value GLM pair, from a JSON
+    coefficient file.
 
     Numbers may be decimal strings or plain JSON numbers.  The stated
     abscissae must match the row sums of both coupling matrices; a mismatch
@@ -245,10 +216,8 @@ def load_ark_method(path) -> ImexRkMethod:
     bi = arr("b_implicit", (sigma,))
 
     try:
-        m = ImexRkMethod(
-            name=str(d.get("name", Path(path).stem)),
-            c=c, A_explicit=Ae, b_explicit=be, A_implicit=Ai, b_implicit=bi,
-        )
+        m = additive_rk_pair(str(d.get("name", Path(path).stem)),
+                             c, Ae, be, Ai, bi)
     except ValueError as exc:
         raise MethodFileError(f"{path}: {exc}") from exc
     for label, A in (("explicit", Ae), ("implicit", Ai)):
@@ -281,8 +250,8 @@ BUILTIN_METHODS = {
 _ARK_ALIASES = {"ark4": 4, "ark5": 5}
 
 
-def resolve_method(spec: str):
-    """Map a CLI method spec to a method object.
+def resolve_method(spec: str) -> ImexGlmMethod:
+    """Map a CLI method spec to a method.
 
     Accepts a builtin name (dimsim4, dimsim5, imex-euler), an alias of a
     bundled ARK comparator (ark4, ark5) or a path to a JSON file; files

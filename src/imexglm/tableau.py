@@ -3,8 +3,10 @@
 A method with s internal stages and r external values is held as the
 coefficient blocks (A, U, B, V) plus abscissae c.  An IMEX pair shares
 (U, V, c) between the explicit part (A strictly lower triangular) and
-the implicit part (A lower triangular with constant diagonal), and of
-the DIMSIM class used here: p = q = r = s, U = I, V = e v^T.
+the implicit part (A lower triangular).  The DIMSIM class used here has
+p = q = r = s, U = I, V = e v^T and a constant implicit diagonal; an
+additive RK pair is the one-value case r = 1, U = e, V = [[1]], with the
+weight vectors as B and Bhat (additive_rk_pair).
 
 The B block is not free: once (A, c, v) are chosen it is pinned by the
 order conditions
@@ -126,6 +128,13 @@ class ImexGlmMethod:
     def lam(self) -> float:
         """Constant diagonal of the implicit stage matrix."""
         return float(self.implicit.A[0, 0])
+
+    @property
+    def is_additive_rk(self) -> bool:
+        """One external value whose starting weights vanish past column 0:
+        an additive RK pair.  Its start is y^[0] = y0 itself, with no f or g
+        evaluation, and that value is the solution at the end of a step."""
+        return self.r == 1 and not (self.Q[:, 1:].any() or self.Qhat[:, 1:].any())
 
 
 class NodalPolynomialTable(NamedTuple):
@@ -285,7 +294,9 @@ def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodVali
                             float(np.abs(m.B - B_ref).max()), ORDER_CONDITION_TOL))
         add(ValidationCheck("implicit B solves order conditions",
                             float(np.abs(m.Bhat - Bh_ref).max()), ORDER_CONDITION_TOL))
-    except DistinctNodesError:
+    except ValueError:
+        # coincident abscissae, or a pair outside the square family (an
+        # additive RK pair has r = 1 < s)
         add(ValidationCheck("explicit B solves order conditions", np.inf, ORDER_CONDITION_TOL))
         add(ValidationCheck("implicit B solves order conditions", np.inf, ORDER_CONDITION_TOL))
 
@@ -324,6 +335,15 @@ def _parse_array(obj, shape, what: str) -> np.ndarray:
 
 
 def method_to_dict(m: ImexGlmMethod) -> dict:
+    """The method file's fields.  The file stores no U, V or implicit c:
+    method_from_dict rebuilds U = I, V = e v^T and one shared c, so a pair
+    with other blocks (an additive RK pair has U = e) is refused."""
+    U, V = np.eye(m.s, m.r), np.outer(np.ones(m.r), m.v)
+    for t in (m.explicit, m.implicit):
+        if not (np.array_equal(t.U, U) and np.array_equal(t.V, V)
+                and np.array_equal(t.c, m.c)):
+            raise ValueError(f"{m.name}: a method file holds only pairs with "
+                             "U = I, V = e v^T and shared abscissae")
     return {
         "name": m.name,
         "s": m.s,
@@ -372,8 +392,9 @@ def method_from_dict(d: dict) -> ImexGlmMethod:
 
 
 def save_method(m: ImexGlmMethod, path) -> None:
+    d = method_to_dict(m)      # before opening, so a refusal writes nothing
     with open(path, "w") as fh:
-        json.dump(method_to_dict(m), fh, indent=1)
+        json.dump(d, fh, indent=1)
         fh.write("\n")
 
 
@@ -409,4 +430,23 @@ def imex_dimsim(name: str, c, A, Ahat, v, p: int | None = None) -> ImexGlmMethod
         Q=starting_weight_matrix(A, c, p),
         Qhat=starting_weight_matrix(Ahat, c, p),
         p=p, q=p,
+    )
+
+
+def additive_rk_pair(name: str, c, A_explicit, b_explicit, A_implicit,
+                     b_implicit) -> ImexGlmMethod:
+    """An additive (IMEX) Runge-Kutta pair as a one-value GLM pair:
+    U = e, V = [[1]], B = b_explicit^T, Bhat = b_implicit^T, v = [1], and
+    Q = Qhat = [[1, 0]] (p = q = 1), which makes the starting procedure
+    the identity (ImexGlmMethod.is_additive_rk)."""
+    c = np.asarray(c, dtype=float)
+    U, V = np.ones((c.size, 1)), np.ones((1, 1))
+    Q = np.array([[1.0, 0.0]])
+    return ImexGlmMethod(
+        name=name,
+        explicit=GlmTableau(A=A_explicit, U=U, B=np.asarray(b_explicit)[None, :],
+                            V=V, c=c),
+        implicit=GlmTableau(A=A_implicit, U=U, B=np.asarray(b_implicit)[None, :],
+                            V=V, c=c),
+        v=np.ones(1), Q=Q, Qhat=Q, p=1, q=1,
     )

@@ -329,6 +329,16 @@ class TestCli:
         for sub, report in zip(("imex-euler", "euler-file"), reports):
             assert json.loads((out / sub / "areas.json").read_text()) == report
 
+    def test_stability_of_an_additive_rk_pair(self, tmp_path, capsys):
+        out = tmp_path / "ark4"
+        assert cli_main(["stability", "--method", "ark4", "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert json.loads((out / "areas.json").read_text()) == report
+        for name in ("s.csv", "shat.csv", "s_alpha.csv"):
+            assert (out / name).read_text().startswith(("x,", "alpha,x,"))
+        assert [e["alpha"] for e in report["pair"]] == list(STABILITY_ALPHAS)
+        assert all(e["area_total"] > 0.0 for e in report["pair"])
+
     def test_optimize_with_tiny_budget(self, capsys):
         rc = cli_main(["optimize-explicit", "--method", "dimsim4",
                        "--budget", "4"])
@@ -384,7 +394,7 @@ class TestCli:
         assert info.value.code == 64
 
     def test_runtime_failure_exits_two(self, capsys):
-        rc = cli_main(["stability", "--method", "ark4"])
+        rc = cli_main(["optimize-explicit", "--method", "ark4"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 

@@ -1,7 +1,8 @@
 """scipy modules load only on the paths that use them.
 
-`import imexglm`, the stability-area and validation paths, and assembling,
-integrating and referencing both PDE benchmarks use numpy alone;
+`import imexglm`, the stability-area paths (of a DIMSIM and of an additive
+RK pair), the validation path, and assembling, integrating and
+referencing both PDE benchmarks use numpy alone;
 scipy.linalg loads with the first dense LU factorization, scipy.sparse and
 scipy.sparse.linalg with the first SuperLU factorization (a PDE without its
 stiff_solver), scipy.optimize with the optimizer.  Checked in fresh
@@ -31,6 +32,7 @@ from imexglm import (StabilityQuery, allen_cahn_problem, burgers_problem,
                      reference_solution, resolve_method, validate_method)
 m = resolve_method("dimsim4")
 constrained_region_area(m, StabilityQuery())
+constrained_region_area(resolve_method("ark4"), StabilityQuery())
 seen["area"] = scipy_modules()
 validate_method(m)
 seen["validate"] = scipy_modules()

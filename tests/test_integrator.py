@@ -14,12 +14,12 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 integrate, rescaling_matrix, solve_stage)
 from imexglm.harness import (StudySpec, _ReferenceCache, build_problem,
                              run_convergence, run_workprecision)
-from imexglm.methods import (ImexRkMethod, bundled_ark_path, load_ark_method,
-                             resolve_method)
+from imexglm.methods import bundled_ark_path, load_ark_method, resolve_method
 from imexglm.problems import (KroneckerSum, allen_cahn_benchmark,
                               burgers_benchmark, dahlquist_split_problem,
                               l2_error)
 from imexglm.stability import imex_stability_matrix
+from imexglm.tableau import additive_rk_pair
 
 
 def quadrature_problem(fcoef, gcoef, t0=0.0, tF=1.0):
@@ -130,6 +130,18 @@ class TestStartingProcedure:
         with pytest.raises(TypeError):
             initialize_external(dimsim4, prob, 0.05,
                                 StartingConfig(scheme=42))
+
+    def test_scheme_is_an_additive_rk_pair(self, dimsim4, euler_glm):
+        prob = dahlquist_split_problem(-0.3, -2.0)
+        by_path = initialize_external(
+            dimsim4, prob, 0.05, StartingConfig(scheme=bundled_ark_path(4)))
+        by_method = initialize_external(
+            dimsim4, prob, 0.05, StartingConfig(scheme=_m4()))
+        assert np.array_equal(by_path.blocks, by_method.blocks)
+        # one value, but not an additive RK pair: its value is y - h g
+        with pytest.raises(TypeError, match="additive RK pair"):
+            initialize_external(dimsim4, prob, 0.05,
+                                StartingConfig(scheme=euler_glm))
 
 
 class TestStepLinearity:
@@ -449,8 +461,8 @@ class TestFailurePropagation:
 
 
 def classical_rk4():
-    return ImexRkMethod(
-        name="rk4", c=np.array([0.0, 0.5, 0.5, 1.0]),
+    return additive_rk_pair(
+        "rk4", c=np.array([0.0, 0.5, 0.5, 1.0]),
         A_explicit=np.array([[0.0, 0.0, 0.0, 0.0],
                              [0.5, 0.0, 0.0, 0.0],
                              [0.0, 0.5, 0.0, 0.0],
@@ -479,20 +491,18 @@ class TestArkStepper:
 
     def test_implicit_part_matches_rational_function(self):
         base = _m4()
-        mrk = ImexRkMethod(name="ark4-implicit-only",
-                           c=np.asarray(base.c),
-                           A_explicit=np.zeros_like(base.A_explicit),
-                           b_explicit=np.zeros_like(base.b_explicit),
-                           A_implicit=np.asarray(base.A_implicit),
-                           b_implicit=np.asarray(base.b_implicit))
+        mrk = additive_rk_pair("ark4-implicit-only", base.c,
+                               A_explicit=np.zeros_like(base.A),
+                               b_explicit=np.zeros_like(base.B[0]),
+                               A_implicit=base.Ahat, b_implicit=base.Bhat[0])
         xihat = -3.7
         prob = dahlquist_split_problem(0.0, xihat)
         h = 0.4
         z = h * xihat
-        sig = mrk.sigma
+        sig = mrk.s
         e = np.ones(sig)
-        R = 1.0 + z * mrk.b_implicit @ np.linalg.solve(
-            np.eye(sig) - z * mrk.A_implicit, e)
+        R = 1.0 + z * mrk.Bhat[0] @ np.linalg.solve(
+            np.eye(sig) - z * mrk.Ahat, e)
         out = ark_step(mrk, prob, prob.y0, 0.0, h)
         assert out[0] == pytest.approx(R * prob.y0[0], rel=1e-13)
 
@@ -526,8 +536,8 @@ def two_product_glm_step(m, prob, state):
 
 
 def two_product_ark_step(mrk, prob, y, t, h):
-    sig = mrk.sigma
-    Ae, Ai = mrk.A_explicit, mrk.A_implicit
+    sig = mrk.s
+    Ae, Ai = mrk.A, mrk.Ahat
     cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
     F, G = np.zeros((sig, prob.d)), np.zeros((sig, prob.d))
     for i in range(sig):
@@ -535,7 +545,7 @@ def two_product_ark_step(mrk, prob, y, t, h):
         t_i = t + float(mrk.c[i]) * h
         Y, _ = integrator._stage(h * Ai[i, i], rhs, prob, t_i, cfg, cache)
         F[i], G[i] = prob.f(t_i, Y), prob.g(t_i, Y)
-    return y + h * (mrk.b_explicit @ F + mrk.b_implicit @ G)
+    return y + h * (mrk.B[0] @ F + mrk.Bhat[0] @ G)
 
 
 KERNEL_PROBLEMS = {
@@ -565,7 +575,7 @@ class TestStageKernel:
                              ids=["ark4", "imex-euler"])
     def test_ark_step_matches_two_product_loop(self, problem, mrk):
         # ark4's first stage is explicit (gamma = 0)
-        assert mrk.A_implicit[0, 0] == 0.0
+        assert mrk.Ahat[0, 0] == 0.0
         prob = KERNEL_PROBLEMS[problem]()
         y, t, h = prob.y0, 0.0, 0.01
         for _ in range(3):
@@ -578,15 +588,14 @@ class TestStageKernel:
         # at h = 1 the rows hold the coefficients themselves
         same = np.array_equal if h == 1.0 else (
             lambda a, b: np.allclose(a, b, rtol=1e-15, atol=0))
-        for m in (dimsim4, dimsim5, _m4()):
+        ark4 = _m4()
+        # an additive RK pair is the one-value case: U = e, V = [[1]]
+        assert np.array_equal(ark4.explicit.U, np.ones((ark4.s, 1)))
+        assert np.array_equal(ark4.explicit.V, [[1.0]])
+        for m in (dimsim4, dimsim5, ark4):
             rows = integrator.stage_rows(m, h)
-            if isinstance(m, ImexRkMethod):
-                U, V = np.ones((m.sigma, 1)), np.ones((1, 1))
-                A, Ah, B, Bh = (m.A_explicit, m.A_implicit,
-                                m.b_explicit[None, :], m.b_implicit[None, :])
-            else:
-                U, V, A, Ah, B, Bh = (m.explicit.U, m.explicit.V, m.A, m.Ahat,
-                                      m.B, m.Bhat)
+            U, V, A, Ah, B, Bh = (m.explicit.U, m.explicit.V, m.A, m.Ahat,
+                                  m.B, m.Bhat)
             s, r = U.shape
             assert len(rows.stage) == s and rows.update.shape == (r, r + 2 * s)
             for i, row in enumerate(rows.stage):
@@ -637,25 +646,32 @@ class TestStageKernel:
 
 
 def reference_ark_integrate(mrk, prob, n_steps):
-    """The former standalone additive-RK driver: its own clock t <- t + h,
-    its own work array and stage sweep, and the update as the vector
-    product update[0] @ W.  Returns (y, t, trajectory)."""
+    """The former standalone additive-RK driver: coefficient rows built
+    from the Butcher arrays (c, A, b, Ahat, bhat) alone, its own clock
+    t <- t + h, its own work array and stage sweep, and the update as the
+    vector product with [1 | h b, h bhat interleaved].  Returns
+    (y, t, trajectory)."""
     h = (prob.tF - prob.t0) / n_steps
     cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
-    rows = cache.stage_rows(mrk, h)
+    sig = mrk.s
+    Ae, be, Ai, bi = mrk.A, mrk.B[0], mrk.Ahat, mrk.Bhat[0]
+    C = np.zeros((sig, 1 + 2 * sig))
+    C[:, 0], C[:, 1::2], C[:, 2::2] = 1.0, h * Ae, h * Ai
+    update = np.empty(1 + 2 * sig)
+    update[0], update[1::2], update[2::2] = 1.0, h * be, h * bi
     y, t, traj = prob.y0, prob.t0, []
     for _ in range(n_steps):
-        W = np.empty((1 + 2 * mrk.sigma, prob.d))
+        W = np.empty((1 + 2 * sig, prob.d))
         W[0] = y
         Y = W[0]
-        for i, coef in enumerate(rows.stage):
-            k = coef.size
-            t_i = t + rows.dt[i]
-            Y, W[k + 1] = integrator._stage(rows.gamma[i], coef @ W[:k], prob,
-                                            t_i, cfg, cache, predictor=Y,
+        for i in range(sig):
+            k = 1 + 2 * i
+            t_i = t + float(mrk.c[i]) * h
+            Y, W[k + 1] = integrator._stage(h * float(Ai[i, i]), C[i, :k] @ W[:k],
+                                            prob, t_i, cfg, cache, predictor=Y,
                                             stage_index=i)
             W[k] = prob.f(t_i, Y)
-        y = rows.update[0] @ W
+        y = update @ W
         t = t + h
         traj.append((t, y.copy()))
     return y, t, traj
@@ -709,6 +725,15 @@ class TestArkThroughIntegrate:
             for cr, wr in zip(cs.rows, ws.rows):
                 want = l2_error(reference_ark_integrate(mrk, prob, cr.N)[0], ref)
                 assert cr.error == want and wr.error == want, (cs.method, cr.N)
+
+    def test_start_evaluates_nothing(self):
+        # the start is y0 itself: every f call is a stage's
+        prob = dahlquist_split_problem(-1.0, -6.0)
+        f, calls = prob.f, []
+        prob.f = lambda t, y: calls.append(t) or f(t, y)
+        mrk, N = _m4(), 20
+        integrate(mrk, prob, N)
+        assert len(calls) == N * mrk.s and calls[0] == prob.t0
 
     def test_run_records_its_phase_times(self, dimsim4):
         prob = dahlquist_split_problem(-1.0, -6.0)

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from imexglm.methods import (ImexRkMethod, bundled_ark_path,
-                             builtin_imex_euler, load_ark_method,
-                             resolve_method)
-from imexglm.tableau import (ImexGlmMethod, MethodFileError, save_method,
-                             validate_method)
+from imexglm.methods import (bundled_ark_path, builtin_imex_euler,
+                             load_ark_method, resolve_method)
+from imexglm.tableau import (ImexGlmMethod, MethodFileError, additive_rk_pair,
+                             save_method, validate_method)
 
 
 class TestBuiltinCoefficients:
@@ -44,13 +43,13 @@ class TestArkLoading:
             path = bundled_ark_path(order)
             assert path.exists()
             m = load_ark_method(path)
-            assert isinstance(m, ImexRkMethod)
-            assert m.sigma == sigma
-            assert m.b_explicit.sum() == pytest.approx(1.0, abs=1e-13)
-            assert m.b_implicit.sum() == pytest.approx(1.0, abs=1e-13)
+            assert isinstance(m, ImexGlmMethod) and m.is_additive_rk
+            assert m.s == sigma
+            assert m.B[0].sum() == pytest.approx(1.0, abs=1e-13)
+            assert m.Bhat[0].sum() == pytest.approx(1.0, abs=1e-13)
         # the 6-stage pair is stiffly accurate: weights equal last stage row
         m4 = load_ark_method(bundled_ark_path(4))
-        assert np.allclose(m4.b_implicit, m4.A_implicit[-1], atol=1e-13)
+        assert np.allclose(m4.Bhat[0], m4.Ahat[-1], atol=1e-13)
 
     def test_bundled_order_guard(self):
         with pytest.raises(ValueError):
@@ -88,18 +87,18 @@ class TestArkLoading:
     def test_non_triangular_pair_rejected(self):
         c, b = np.array([0.0, 1.0]), np.array([0.5, 0.5])
         lower = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="A_explicit must be strictly"):
-            ImexRkMethod(name="diagonal", c=c, A_explicit=np.diag([0.0, 1.0]),
-                         b_explicit=b, A_implicit=lower, b_implicit=b)
-        with pytest.raises(ValueError, match="A_implicit must be lower"):
-            ImexRkMethod(name="upper", c=c, A_explicit=lower, b_explicit=b,
-                         A_implicit=np.array([[0.5, 0.5], [0.5, 0.5]]),
-                         b_implicit=b)
+        with pytest.raises(ValueError, match="explicit A must be strictly"):
+            additive_rk_pair("diagonal", c, A_explicit=np.diag([0.0, 1.0]),
+                             b_explicit=b, A_implicit=lower, b_implicit=b)
+        with pytest.raises(ValueError, match="implicit A must be lower"):
+            additive_rk_pair("upper", c, A_explicit=lower, b_explicit=b,
+                             A_implicit=np.array([[0.5, 0.5], [0.5, 0.5]]),
+                             b_implicit=b)
         one = np.ones((1, 1))
-        with pytest.raises(ValueError, match="A_explicit must be strictly"):
-            ImexRkMethod(name="one-stage", c=np.array([1.0]), A_explicit=one,
-                         b_explicit=np.ones(1), A_implicit=one,
-                         b_implicit=np.ones(1))
+        with pytest.raises(ValueError, match="explicit A must be strictly"):
+            additive_rk_pair("one-stage", np.array([1.0]), A_explicit=one,
+                             b_explicit=np.ones(1), A_implicit=one,
+                             b_implicit=np.ones(1))
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "partial.json"
@@ -120,12 +119,12 @@ class TestResolveMethod:
 
     def test_ark_file_dispatch(self):
         m = resolve_method(str(bundled_ark_path(5)))
-        assert isinstance(m, ImexRkMethod)
+        assert isinstance(m, ImexGlmMethod) and m.is_additive_rk
 
     def test_ark_aliases(self):
         m = resolve_method("ark4")
-        assert isinstance(m, ImexRkMethod) and m.sigma == 6
-        assert resolve_method("ark5").sigma == 8
+        assert m.is_additive_rk and m.s == 6
+        assert resolve_method("ark5").s == 8
 
     def test_glm_file_dispatch(self, tmp_path):
         path = tmp_path / "euler.json"

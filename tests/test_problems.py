@@ -457,7 +457,7 @@ class TestTimeMemo:
             stage_times += [t + float(c) * h for c in ark4.c]
             t = t + h
         distinct = list(dict.fromkeys(stage_times))
-        assert len(distinct) == N * (ark4.sigma - 1) + 1
+        assert len(distinct) == N * (ark4.s - 1) + 1
         rings.clear(), sources.clear()
         integrate(ark4, prob, N)
         assert times(rings) == distinct

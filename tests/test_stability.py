@@ -742,3 +742,48 @@ class TestOptimizer:
         assert runs[0].n_evaluations == runs[1].n_evaluations
         assert np.array_equal(runs[0].A, runs[1].A)
         assert runs[0].area > 0.0
+
+
+def ark_butcher(order):
+    """The explicit (A, b) of a bundled ARK pair, read from its file."""
+    from imexglm.methods import bundled_ark_path
+    d = json.loads(bundled_ark_path(order).read_text())
+    return (np.array(d["A_explicit"], dtype=float),
+            np.array(d["b_explicit"], dtype=float))
+
+
+def seeded_points(seed, n=300):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-6.0, 0.5, n) + 1j * rng.uniform(0.0, 8.0, n)
+
+
+class TestAdditiveRkStability:
+    """An additive RK pair is a one-value GLM pair, so the shared stability
+    code decides its regions as it does a DIMSIM's."""
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_explicit_component_is_rk_stability_function(self, order):
+        # R(w) = 1 + w b^T (I - w A)^{-1} e, from the Butcher arrays alone
+        A, b = ark_butcher(order)
+        m = resolve_method(f"ark{order}")
+        ws = seeded_points(order)
+        e = np.ones(b.size)
+        R = np.array([1.0 + w * b @ np.linalg.solve(np.eye(b.size) - w * A, e)
+                      for w in ws])
+        q = StabilityQuery()
+        inside, _ = _stability_decider(m, q, q.alpha, "explicit")
+        want = np.abs(R) < 1.0
+        tie = np.abs(np.abs(R) - 1.0) <= 1e-12
+        assert np.array_equal(inside(ws)[~tie], want[~tie])
+        assert 0 < want.sum() < ws.size
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_pair_decisions_match_eigenvalues(self, order):
+        m = resolve_method(f"ark{order}")
+        ws = seeded_points(10 + order)
+        q = StabilityQuery()
+        inside, _ = _stability_decider(m, q, q.alpha, "pair")
+        rho = np.array([max_rho_over_stiff_grid(m, w, q) for w in ws])
+        tie = np.abs(rho - 1.0) <= 1e-12
+        assert np.array_equal(inside(ws)[~tie], (rho < 1.0)[~tie])
+        assert 0 < (rho < 1.0).sum() < ws.size

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from imexglm.methods import resolve_method
 from imexglm.tableau import (DistinctNodesError, GlmTableau, ImexGlmMethod,
-                             MethodFileError, dimsim_b_matrix, imex_dimsim,
+                             MethodFileError, additive_rk_pair,
+                             dimsim_b_matrix, imex_dimsim,
                              load_method, method_from_dict, method_to_dict,
                              nodal_polynomials, save_method,
                              starting_weight_matrix, validate_method)
@@ -143,6 +145,24 @@ class TestSerialization:
         assert np.array_equal(np.asarray(m.B), np.asarray(m2.B))
         assert np.array_equal(np.asarray(m.Qhat), np.asarray(m2.Qhat))
 
+    def test_pair_the_format_cannot_hold_is_refused(self, dimsim4, tmp_path):
+        # the file stores no U or V: loading would rebuild U = I, which is
+        # e_1 for an additive RK pair (U = e)
+        path = tmp_path / "ark4.json"
+        with pytest.raises(ValueError, match="U = I, V = e v"):
+            save_method(resolve_method("ark4"), path)
+        assert not path.exists()
+        V = np.asarray(dimsim4.explicit.V) * 2.0
+        doubled = ImexGlmMethod(
+            name="doubled-V",
+            explicit=GlmTableau(A=dimsim4.A, U=dimsim4.explicit.U,
+                                B=dimsim4.B, V=V, c=dimsim4.c),
+            implicit=GlmTableau(A=dimsim4.Ahat, U=dimsim4.implicit.U,
+                                B=dimsim4.Bhat, V=V, c=dimsim4.c),
+            v=dimsim4.v, Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
+        with pytest.raises(ValueError, match="U = I, V = e v"):
+            method_to_dict(doubled)
+
     def test_missing_field_rejected(self, dimsim4, tmp_path):
         d = method_to_dict(dimsim4)
         del d["B"]
@@ -204,6 +224,15 @@ class TestValidation:
         with pytest.raises(MethodFileError, match="implicit A must be lower"):
             load_method(path)
 
+    def test_additive_rk_pair_reports_instead_of_raising(self):
+        # the DIMSIM B relation needs r = s; an ARK pair has r = 1
+        report = validate_method(resolve_method("ark4"))
+        failed = {chk.name: chk.residual for chk in report.failures()}
+        assert failed["square family (p=q=r=s)"] > 0.0
+        assert failed["explicit B solves order conditions"] == np.inf
+        assert failed["implicit B solves order conditions"] == np.inf
+        assert not report.passed
+
     def test_tableau_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             GlmTableau(A=np.zeros((2, 2)), U=np.eye(2), B=np.zeros((3, 2)),
@@ -212,3 +241,26 @@ class TestValidation:
     def test_coefficients_are_readonly(self, dimsim4):
         with pytest.raises(ValueError):
             dimsim4.A[0, 0] = 1.0
+
+
+class TestAdditiveRkPair:
+    def test_one_value_blocks(self):
+        c = np.array([0.0, 1.0])
+        A, b = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5])
+        Ah, bh = np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([0.5, 0.5])
+        m = additive_rk_pair("trapezoid", c, A, b, Ah, bh)
+        assert (m.s, m.r, m.p, m.q) == (2, 1, 1, 1)
+        for t, bt in ((m.explicit, b), (m.implicit, bh)):
+            assert np.array_equal(t.U, np.ones((2, 1)))
+            assert np.array_equal(t.V, [[1.0]])
+            assert np.array_equal(t.B, bt[None, :])
+        assert np.array_equal(m.v, [1.0])
+        assert np.array_equal(m.Q, [[1.0, 0.0]])
+        assert np.array_equal(m.Qhat, [[1.0, 0.0]])
+
+    def test_is_additive_rk_reads_the_data(self, dimsim4, euler_glm):
+        assert resolve_method("ark4").is_additive_rk
+        assert resolve_method("ark5").is_additive_rk
+        assert not dimsim4.is_additive_rk
+        # one value, but its Qhat = [[1, -1]] starts from y0 - h g
+        assert euler_glm.r == 1 and not euler_glm.is_additive_rk
