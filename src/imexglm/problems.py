@@ -20,18 +20,21 @@ built.  So assembling and integrating either PDE, and its RK4 reference,
 load no scipy module; KroneckerSum.tocsc() assembles the sparse matrix,
 importing scipy.sparse, only for a solver that factors J.
 
-The boundary data is evaluated in one vectorized call over the ring of
-4(n-1) boundary nodes next to the interior (Grid2D.ring), and one scatter
-(Grid2D.scatter_ring) adds it into the interior layout, for the Laplacian
-forcing and for Burgers' convective closure alike.  Each time-dependent
-field (the boundary ring, Burgers' scattered closure, the Allen-Cahn
-source) sits behind a one-slot memo keyed on the exact time, so the forcing
-and f of one stage share an evaluation, as do a step's last stage
-(c_s = 1) and the next step's first (c_1 = 0).  The Laplacian forcing is
-scattered afresh on each call: the problem hands it out writable, and a
-copy of a memoized one would cost as much as the scatter.  The Allen-Cahn
-source is fused: its trig lines are computed once per call and shared by
-u, u_t and Lap(u).
+The boundary data lives on the ring of 4(n-1) boundary nodes next to the
+interior, and one scatter (Grid2D.scatter_ring) adds it into the interior
+layout, for the Laplacian forcing and for Burgers' convective closure
+alike.  Burgers evaluates its ring in one vectorized call (Grid2D.ring).
+Allen-Cahn's solution u = 2 + sin 2pi(x-t) cos 3pi(y-t) is a product of
+one-axis factors, so its ring and its manufactured source come from one
+evaluation per time of four trig lines on the grid axes
+(_allen_cahn_stage_data): the ring is 2 + S[i] P[j], bit for bit
+Grid2D.ring(u, t), and the source is a rank-5 matmul.  Each time-dependent
+field (Burgers' ring and scattered closure, Allen-Cahn's ring and source)
+sits behind a one-slot memo keyed on the exact time, so the forcing and f
+of one stage share an evaluation, as do a step's last stage (c_s = 1) and
+the next step's first (c_1 = 0).  The Laplacian forcing is scattered
+afresh on each call: the problem hands it out writable, and a copy of a
+memoized one would cost as much as the scatter.
 """
 
 from __future__ import annotations
@@ -63,16 +66,20 @@ class Grid2D:
         if self.n < 4:
             raise ValueError("need n >= 4")
         self.dx = 1.0 / self.n
-        self.coords = np.arange(1, self.n) / self.n
+        # axis nodes k/n, k = 0..n: the boundary lines 0, 1 and coords between
+        self.axis = np.arange(self.n + 1) / self.n
+        self.coords = self.axis[1:-1]
         X, Y = np.meshgrid(self.coords, self.coords, indexing="ij")
         self.X = X.ravel()
         self.Y = Y.ravel()
-        # boundary ring: the sides x=0, x=1, y=0, y=1, each along coords,
-        # and the flat index of the interior node next to each ring node
+        # boundary ring: the sides x=0, x=1, y=0, y=1, each along coords, as
+        # axis indices (ring_i, ring_j), and the flat index of the interior
+        # node next to each ring node
         m = self.n - 1
-        edge, j = np.zeros(m), np.arange(m)
-        self.ring_x = np.concatenate([edge, edge + 1.0, self.coords, self.coords])
-        self.ring_y = np.concatenate([self.coords, self.coords, edge, edge + 1.0])
+        j, first, last = np.arange(m), np.zeros(m, int), np.full(m, self.n)
+        self.ring_i = np.concatenate([first, last, j + 1, j + 1])
+        self.ring_j = np.concatenate([j + 1, j + 1, first, last])
+        self.ring_x, self.ring_y = self.axis[self.ring_i], self.axis[self.ring_j]
         self.ring_index = np.concatenate([j, (m - 1) * m + j, j * m, j * m + m - 1])
 
     @property
@@ -213,14 +220,16 @@ def shifted_laplacian_solver(grid: Grid2D, coef: float):
 
 def _memo_on_time(field_at):
     """One-slot memo of t -> field_at(t), matched on exact equality of t.
-    The cached array is made read-only, since every caller shares it."""
+    field_at returns an array or a tuple of arrays; each cached array is
+    made read-only, since every caller shares it."""
     last_t, last = None, None
 
     def cached(t):
         nonlocal last_t, last
         if last is None or t != last_t:
             last = field_at(t)
-            last.flags.writeable = False
+            for a in last if isinstance(last, tuple) else (last,):
+                a.flags.writeable = False
             last_t = t
         return last
 
@@ -261,6 +270,50 @@ def _allen_cahn_fields(alpha: float, beta: float):
     return u, source
 
 
+def _allen_cahn_stage_data(grid: Grid2D, alpha: float, beta: float):
+    """t -> (ring, source): the boundary ring of u and the interior source
+    of _allen_cahn_fields, from one-axis factors evaluated once per t.
+
+    With S = sin 2pi(x-t) and P = cos 3pi(y-t) on the n+1 axis nodes, the
+    ring is 2 + S[i] P[j] at each ring node's axis indices, bit for bit
+    grid.ring(u, t).  On the interior, with C = cos 2pi(x-t) and
+    Q = sin 3pi(y-t) as well, -beta(u - u^3) = beta(6 + 11X + 6X^2 + X^3)
+    for X = S (x) P, and a power of an outer product is the outer product
+    of the powers, so the source is the rank-5 product L^T R with
+    L = [6b, (11b + 13pi^2 a)S - 2pi C, 6b S^2, b S^3, 3pi S] and
+    R = [1, P, P^2, P^3, Q]: one (n-1) x 5 by 5 x (n-1) matmul.
+    """
+    x, ring_i, ring_j = grid.axis, grid.ring_i, grid.ring_j
+    m = grid.n - 1
+    L, R = np.empty((5, m)), np.empty((5, m))  # rows refilled on every call
+    L[0], R[0] = 6.0 * beta, 1.0
+    sp = 11.0 * beta + 13.0 * np.pi ** 2 * alpha
+
+    def at(t):
+        d = x - t
+        ax, ay = 2 * np.pi * d, 3 * np.pi * d
+        S, P = np.sin(ax), np.cos(ay)
+        ring = S[ring_i]
+        ring *= P[ring_j]
+        ring += 2.0
+        S, P = S[1:-1], P[1:-1]
+        C, Q = np.cos(ax[1:-1]), np.sin(ay[1:-1])
+        np.multiply(S, sp, out=L[1])
+        L[1] -= 2 * np.pi * C
+        np.multiply(S, S, out=L[2])
+        np.multiply(L[2], beta, out=L[3])
+        L[3] *= S
+        L[2] *= 6.0 * beta
+        np.multiply(S, 3 * np.pi, out=L[4])
+        R[1] = P
+        np.multiply(P, P, out=R[2])
+        np.multiply(R[2], P, out=R[3])
+        R[4] = Q
+        return ring, (L.T @ R).ravel()
+
+    return at
+
+
 def allen_cahn_problem(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
                        t_final: float = 0.5) -> SemiDiscreteProblem:
     """Allen-Cahn equation u_t = alpha*Lap(u) + beta*(u - u^3) + s(t,x,y)
@@ -274,20 +327,19 @@ def allen_cahn_problem(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
 def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
                          t_final: float = 0.5) -> PdeBenchmark:
     grid = Grid2D(n)
-    u, source = _allen_cahn_fields(alpha, beta)
-    ring_at = _memo_on_time(lambda t: grid.ring(u, t))
-    source_at = _memo_on_time(lambda t: grid.evaluate(source, t))
+    u, _ = _allen_cahn_fields(alpha, beta)
+    data_at = _memo_on_time(_allen_cahn_stage_data(grid, alpha, beta))
     forcing_scale = alpha / grid.dx ** 2
 
     def f(t, v):
-        return beta * (v - v * v * v) + source_at(t)
+        return beta * (v - v * v * v) + data_at(t)[1]
 
     prob = SemiDiscreteProblem(
         name=f"allen-cahn-n{n}", d=grid.m, t0=0.0, tF=t_final,
         y0=grid.evaluate(u, 0.0), f=f,
         stiff_matrix=alpha * five_point_laplacian(grid),
         stiff_solver=shifted_laplacian_solver(grid, alpha),
-        stiff_forcing=lambda t: grid.scatter_ring(ring_at(t), forcing_scale),
+        stiff_forcing=lambda t: grid.scatter_ring(data_at(t)[0], forcing_scale),
         exact=lambda t: grid.evaluate(u, t),
         stiff_scale=alpha * 8.0 * n ** 2)
     return PdeBenchmark(name=prob.name, grid=grid,

@@ -330,6 +330,24 @@ class TestAllenCahnSource:
                     - beta * (uu - uu ** 3))
             assert relative(grid.evaluate(source, t), want) <= 1e-13
 
+    @pytest.mark.parametrize("alpha, beta", [(0.01, 3.0), (1.0, 3.0), (0.1, 0.5)])
+    @pytest.mark.parametrize("n", [4, 5, 10, 40])
+    def test_factored_stage_data_matches_pointwise_fields(self, n, alpha, beta):
+        # the problem's ring and source come from one-axis factors; the
+        # pointwise fields of _allen_cahn_fields are the oracle
+        bench = allen_cahn_benchmark(n=n, alpha=alpha, beta=beta)
+        grid, prob = bench.grid, bench.problem
+        u, source = _allen_cahn_fields(alpha, beta)
+        stage_data = problems._allen_cahn_stage_data(grid, alpha, beta)
+        for t in (0.0, 0.137, 0.5):
+            ring = grid.ring(u, t)
+            assert np.array_equal(stage_data(t)[0], ring)
+            want = grid.scatter_ring(ring, alpha / grid.dx ** 2)
+            assert np.array_equal(prob.stiff_forcing(t), want)
+            # f(t, 0) is the source alone
+            got = prob.f(t, np.zeros(prob.d))
+            assert relative(got, grid.evaluate(source, t)) <= 1e-13
+
 
 def recorder(fn, log, t_arg):
     """Wrap fn to log (t, output) per call, t being positional t_arg."""
@@ -339,6 +357,14 @@ def recorder(fn, log, t_arg):
         return out
 
     return recorded
+
+
+def record_stage_data(monkeypatch, log):
+    """Log (t, (ring, source)) per Allen-Cahn stage-data evaluation."""
+    stage_data = problems._allen_cahn_stage_data
+    monkeypatch.setattr(
+        problems, "_allen_cahn_stage_data",
+        lambda grid, alpha, beta: recorder(stage_data(grid, alpha, beta), log, 0))
 
 
 class TestTimeMemo:
@@ -357,17 +383,20 @@ class TestTimeMemo:
             assert np.array_equal(f, fresh.f(t, v))
 
     def test_memoized_arrays_are_read_only(self, monkeypatch):
-        rings, sources = [], []
+        rings, stage_data = [], []
         monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
-        monkeypatch.setattr(Grid2D, "evaluate", recorder(Grid2D.evaluate, sources, 2))
+        record_stage_data(monkeypatch, stage_data)
         ac = allen_cahn_benchmark(n=6).problem
         bu = burgers_benchmark(n=6).problem
-        sources.clear()                      # y0 is not memoized
         ac.stiff_forcing(0.1)
         ac.f(0.1, ac.y0)
         bu.f(0.1, bu.y0)
-        assert len(rings) == 2 and len(sources) == 1
-        for _, out in rings + sources:
+        # Allen-Cahn's ring and source come from one evaluation, Burgers'
+        # ring from Grid2D.ring
+        assert len(rings) == 1 and len(stage_data) == 1
+        shared = [out for _, out in rings] + list(stage_data[0][1])
+        assert len(shared) == 3
+        for out in shared:
             with pytest.raises(ValueError):
                 out[0] = 1.0
         # the problem's own outputs stay writable
@@ -405,21 +434,19 @@ class TestTimeMemo:
 
     @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
     def test_one_evaluation_per_distinct_stage_time(self, make, monkeypatch):
-        rings, sources = [], []
+        # Burgers evaluates its ring through Grid2D.ring; Allen-Cahn its ring
+        # and source together, in _allen_cahn_stage_data, and never the ring
+        # through Grid2D.ring
+        rings, stage_data = [], []
         monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
-        fields = problems._allen_cahn_fields
-
-        def recorded_fields(alpha, beta):
-            u, source = fields(alpha, beta)
-            return u, recorder(source, sources, 0)
-
-        monkeypatch.setattr(problems, "_allen_cahn_fields", recorded_fields)
+        record_stage_data(monkeypatch, stage_data)
+        evaluations = stage_data if make is allen_cahn_benchmark else rings
         start = integrator.initialize_external
         stepping_from = []
 
         def marked_start(*args, **kwargs):
             out = start(*args, **kwargs)
-            stepping_from.append((len(rings), len(sources)))
+            stepping_from.append(len(evaluations))
             return out
 
         monkeypatch.setattr(integrator, "initialize_external", marked_start)
@@ -438,12 +465,9 @@ class TestTimeMemo:
         distinct = list(dict.fromkeys(stage_times))
         # c_1 = 0 and c_s = 1: each step's last stage time is the next one's first
         assert len(distinct) == N * (dimsim4.s - 1) + 1
-        rings.clear(), sources.clear()
+        evaluations.clear()
         integrate(dimsim4, prob, N)
-        ring_from, source_from = stepping_from[0]
-        assert times(rings, ring_from) == distinct
-        if make is allen_cahn_benchmark:
-            assert times(sources, source_from) == distinct
+        assert times(evaluations, stepping_from[0]) == distinct
 
         ark4 = resolve_method("ark4")
         N = 50
@@ -458,11 +482,9 @@ class TestTimeMemo:
             t = t + h
         distinct = list(dict.fromkeys(stage_times))
         assert len(distinct) == N * (ark4.s - 1) + 1
-        rings.clear(), sources.clear()
+        evaluations.clear()
         integrate(ark4, prob, N)
-        assert times(rings) == distinct
-        if make is allen_cahn_benchmark:
-            assert times(sources) == distinct
+        assert times(evaluations) == distinct
 
         # classical RK4 reference: k2 and k3 share t + h/2, k4 the next k1
         n_ref = 400
@@ -472,10 +494,12 @@ class TestTimeMemo:
         for _ in range(n_ref):
             stage_times += [t, t + 0.5 * h, t + 0.5 * h, t + h]
             t = t + h
-        rings.clear(), sources.clear()
+        evaluations.clear()
         reference_solution(prob, n_ref)
-        assert times(rings) == list(dict.fromkeys(stage_times))
-        assert len(rings) == 2 * n_ref + 1
+        assert times(evaluations) == list(dict.fromkeys(stage_times))
+        assert len(evaluations) == 2 * n_ref + 1
+        if make is allen_cahn_benchmark:
+            assert rings == []
 
     @pytest.mark.parametrize("method, scheme", [
         ("dimsim4", "imex-euler"), ("dimsim5", bundled_ark_path(4))],

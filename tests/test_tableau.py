@@ -231,6 +231,28 @@ class TestValidation:
         assert failed["square family (p=q=r=s)"] > 0.0
         assert failed["explicit B solves order conditions"] == np.inf
         assert failed["implicit B solves order conditions"] == np.inf
+        # Q has r = 1 row and the starting weights s rows: no broadcast
+        assert failed["starting weights Q"] == np.inf
+        assert failed["starting weights Qhat"] == np.inf
+        assert not report.passed
+
+    def test_fewer_values_than_stages_reports_instead_of_raising(self):
+        # s = 3 stages, r = 2 values: the s-row starting weights cannot be
+        # compared with the r-row Q, so the check reports inf, not raises
+        c = np.array([0.0, 0.5, 1.0])
+        A = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        Ah = np.diag([0.5, 0.5, 0.5]) + np.tril(np.full((3, 3), 0.1), -1)
+        U, V = np.ones((3, 2)) / 2.0, np.full((2, 2), 0.5)
+        B = np.full((2, 3), 1.0 / 3.0)
+        Q = np.array([[1.0, 0.0], [1.0, 0.5]])
+        m = ImexGlmMethod(name="s3r2",
+                          explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
+                          implicit=GlmTableau(A=Ah, U=U, B=B, V=V, c=c),
+                          v=np.array([0.5, 0.5]), Q=Q, Qhat=Q, p=1, q=1)
+        report = validate_method(m)
+        failed = {chk.name: chk.residual for chk in report.failures()}
+        assert failed["starting weights Q"] == np.inf
+        assert failed["starting weights Qhat"] == np.inf
         assert not report.passed
 
     def test_tableau_shape_mismatch_raises(self):
