@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     # each subcommand is offered only the options it reads
-    def common(sp, out=True, problem=False, fmt=False):
+    def common(sp, out=True, problem=False, fmt=False, study=True):
         sp.add_argument("--method", default="dimsim4",
                         help="dimsim4 | dimsim5 | imex-euler | ark4 | ark5 "
                              "| path to a method file; converge, "
@@ -63,12 +63,16 @@ def _build_parser() -> _Parser:
                             help="starting micro-step as a fraction of h")
             sp.add_argument("--starter", default="auto",
                             help="auto | imex-euler | path to an ARK file")
-            sp.add_argument("--steps", default="25,50,100,200",
-                            help="comma-separated step counts")
+            if study:
+                sp.add_argument("--steps", default="25,50,100,200",
+                                help="comma-separated step counts")
+            else:
+                sp.add_argument("--steps", type=int, default=25,
+                                help="step count")
 
     common(sub.add_parser("validate-method", help="run tableau checks"), out=False)
     common(sub.add_parser("integrate", help="single integration run"),
-           problem=True)
+           problem=True, study=False)
     common(sub.add_parser("converge", help="convergence study"),
            problem=True, fmt=True)
     common(sub.add_parser("work-precision", help="timed accuracy study"),
@@ -105,8 +109,7 @@ def _study_spec(args, require_orders=True) -> StudySpec:
     return StudySpec(problem=args.problem, methods=_method_list(args),
                      steps=_parse_steps(args.steps), problem_params=params,
                      n_ref=args.n_ref, tau_ratio=args.tau_ratio,
-                     starter=args.starter, out=args.out,
-                     require_orders=require_orders)
+                     starter=args.starter, require_orders=require_orders)
 
 
 def _cmd_validate(args) -> int:
@@ -129,7 +132,7 @@ def _cmd_integrate(args) -> int:
     spec = _study_spec(args, require_orders=False)
     prob = build_problem(spec)
     m = resolve_method(args.method)
-    N = spec.steps[0]
+    N = args.steps
     res = integrate(m, prob, N, start=starter_config(spec, m))
     row = {"method": args.method, "problem": args.problem, "N": N,
            "h": res.h, "t": res.t}

@@ -42,7 +42,6 @@ class StudySpec:
     n_ref: int | None = None
     tau_ratio: float = 0.5
     starter: str = "auto"          # "auto" | "imex-euler" | path to ARK file
-    out: str | None = None
     repeats: int = 3
     require_orders: bool = True    # single-run specs may drop the 3-point rule
 
@@ -136,6 +135,17 @@ def _lsq_slope(rows):
     return float(np.polyfit(logs_h, logs_e, 1)[0])
 
 
+def _scored_run(m, prob, N, start_cfg, ref):
+    """One integration and its error against ref.  An overflowed run is a
+    failed run: its non-finite error raises IntegrationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate(m, prob, N, start=start_cfg)
+        err = l2_error(res.y, ref)
+    if not np.isfinite(err):
+        raise IntegrationError(f"non-finite error at N={N}")
+    return res, err
+
+
 def run_convergence(spec: StudySpec, reference_cache=None) -> list:
     """Integrate each method at every step count, score against the cached
     fine reference, and report pairwise orders plus a least-squares slope.
@@ -152,11 +162,7 @@ def run_convergence(spec: StudySpec, reference_cache=None) -> list:
         for N in spec.steps:
             h = (prob.tF - prob.t0) / N
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y = integrate(m, prob, N, start=start_cfg).y
-                err = l2_error(y, ref)
-                if not np.isfinite(err):
-                    raise IntegrationError(f"non-finite error at N={N}")
+                _, err = _scored_run(m, prob, N, start_cfg, ref)
                 order = None
                 if prev is not None:
                     N0, e0 = prev
@@ -211,8 +217,7 @@ def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
             try:
                 step_times, start_times = [], []
                 for _ in range(max(1, spec.repeats)):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        res = integrate(m, prob, N, start=start_cfg)
+                    res, err = _scored_run(m, prob, N, start_cfg, ref)
                     step_times.append(res.step_seconds)
                     start_times.append(res.start_seconds)
                 best = min(step_times)
@@ -222,7 +227,7 @@ def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
                         f"timing spread {spread:.0%} over repeats at N={N}",
                         RuntimeWarning, stacklevel=2)
                 rows.append(WorkPrecisionRow(
-                    N, h, best, l2_error(res.y, ref),
+                    N, h, best, err,
                     start_seconds=min(start_times),
                     repeat_seconds=tuple(step_times)))
             except (IntegrationError, FloatingPointError) as exc:

@@ -187,7 +187,7 @@ class StageRows(NamedTuple):
 
 def stage_rows(m: ImexGlmMethod, h: float) -> StageRows:
     """Build the StageRows of a GLM pair."""
-    U, V, A, Ah, B, Bh = m.explicit.U, m.explicit.V, m.A, m.Ahat, m.B, m.Bhat
+    U, V, A, Ah, B, Bh = m.U, m.V, m.A, m.Ahat, m.B, m.Bhat
     s, r = U.shape
     C = np.zeros((s, r + 2 * s))
     C[:, :r], C[:, r::2], C[:, r + 1::2] = U, h * A, h * Ah

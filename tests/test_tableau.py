@@ -145,23 +145,13 @@ class TestSerialization:
         assert np.array_equal(np.asarray(m.B), np.asarray(m2.B))
         assert np.array_equal(np.asarray(m.Qhat), np.asarray(m2.Qhat))
 
-    def test_pair_the_format_cannot_hold_is_refused(self, dimsim4, tmp_path):
-        # the file stores no U or V: loading would rebuild U = I, which is
-        # e_1 for an additive RK pair (U = e)
+    def test_pair_the_format_cannot_hold_is_refused(self, tmp_path):
+        # the file stores no U: loading would rebuild U = I, which is e_1
+        # for an additive RK pair (U = e)
         path = tmp_path / "ark4.json"
         with pytest.raises(ValueError, match="U = I, V = e v"):
             save_method(resolve_method("ark4"), path)
         assert not path.exists()
-        V = np.asarray(dimsim4.explicit.V) * 2.0
-        doubled = ImexGlmMethod(
-            name="doubled-V",
-            explicit=GlmTableau(A=dimsim4.A, U=dimsim4.explicit.U,
-                                B=dimsim4.B, V=V, c=dimsim4.c),
-            implicit=GlmTableau(A=dimsim4.Ahat, U=dimsim4.implicit.U,
-                                B=dimsim4.Bhat, V=V, c=dimsim4.c),
-            v=dimsim4.v, Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
-        with pytest.raises(ValueError, match="U = I, V = e v"):
-            method_to_dict(doubled)
 
     def test_missing_field_rejected(self, dimsim4, tmp_path):
         d = method_to_dict(dimsim4)
@@ -190,14 +180,9 @@ class TestValidation:
         A = np.array(dimsim4.A)
         A[2, 1] += 1e-4
         bad = ImexGlmMethod(
-            name="bad",
-            explicit=GlmTableau(A=A, U=np.asarray(dimsim4.explicit.U),
-                                B=np.asarray(dimsim4.B),
-                                V=np.asarray(dimsim4.explicit.V),
-                                c=np.asarray(dimsim4.c)),
-            implicit=dimsim4.implicit,
-            v=np.asarray(dimsim4.v), Q=np.asarray(dimsim4.Q),
-            Qhat=np.asarray(dimsim4.Qhat), p=4, q=4)
+            name="bad", c=dimsim4.c, U=dimsim4.U, v=dimsim4.v,
+            A=A, B=dimsim4.B, Ahat=dimsim4.Ahat, Bhat=dimsim4.Bhat,
+            Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
         report = validate_method(bad)
         assert not report.passed
         names = [chk.name for chk in report.failures()]
@@ -242,13 +227,12 @@ class TestValidation:
         c = np.array([0.0, 0.5, 1.0])
         A = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0]])
         Ah = np.diag([0.5, 0.5, 0.5]) + np.tril(np.full((3, 3), 0.1), -1)
-        U, V = np.ones((3, 2)) / 2.0, np.full((2, 2), 0.5)
         B = np.full((2, 3), 1.0 / 3.0)
         Q = np.array([[1.0, 0.0], [1.0, 0.5]])
-        m = ImexGlmMethod(name="s3r2",
-                          explicit=GlmTableau(A=A, U=U, B=B, V=V, c=c),
-                          implicit=GlmTableau(A=Ah, U=U, B=B, V=V, c=c),
-                          v=np.array([0.5, 0.5]), Q=Q, Qhat=Q, p=1, q=1)
+        m = ImexGlmMethod(name="s3r2", c=c, U=np.ones((3, 2)) / 2.0,
+                          v=np.array([0.5, 0.5]), A=A, B=B, Ahat=Ah, Bhat=B,
+                          Q=Q, Qhat=Q, p=1, q=1)
+        assert np.array_equal(m.V, np.full((2, 2), 0.5))
         report = validate_method(m)
         failed = {chk.name: chk.residual for chk in report.failures()}
         assert failed["starting weights Q"] == np.inf
@@ -263,6 +247,36 @@ class TestValidation:
     def test_coefficients_are_readonly(self, dimsim4):
         with pytest.raises(ValueError):
             dimsim4.A[0, 0] = 1.0
+
+
+class TestPairRecord:
+    def test_views_share_the_pair_blocks(self, dimsim4, dimsim5, euler_glm,
+                                         coarse_query):
+        from imexglm.stability import optimize_explicit_component
+        round_trip = method_from_dict(json.loads(json.dumps(
+            method_to_dict(dimsim5))))
+        optimized = optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query, budget=3,
+            seed_matrix=dimsim4.A).method
+        for m in (dimsim4, dimsim5, euler_glm, resolve_method("ark4"),
+                  resolve_method("ark5"), round_trip, optimized):
+            e = np.ones((m.r, 1))
+            assert np.array_equal(m.V, e * m.v), m.name
+            for t, A, B in ((m.explicit, m.A, m.B),
+                            (m.implicit, m.Ahat, m.Bhat)):
+                assert np.array_equal(t.U, m.U), m.name
+                assert np.array_equal(t.V, m.V), m.name
+                assert np.array_equal(t.c, m.c), m.name
+                assert np.array_equal(t.A, A) and np.array_equal(t.B, B)
+                assert not t.V.flags.writeable
+
+    def test_v_sets_the_number_of_values(self, dimsim4):
+        # V is built from v, so a v of the wrong length is a shape error
+        with pytest.raises(ValueError, match="block shapes"):
+            ImexGlmMethod(name="short-v", c=dimsim4.c, U=dimsim4.U,
+                          v=dimsim4.v[:-1], A=dimsim4.A, B=dimsim4.B,
+                          Ahat=dimsim4.Ahat, Bhat=dimsim4.Bhat,
+                          Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
 
 
 class TestAdditiveRkPair:
