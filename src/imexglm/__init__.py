@@ -40,7 +40,6 @@ from .integrator import (
     initialize_external,
     integrate,
     rescaling_matrix,
-    solve_stage,
 )
 from .stability import (
     RegionBoundary,

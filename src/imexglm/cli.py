@@ -230,7 +230,7 @@ def _cmd_optimize(args) -> int:
         "method": m.name, "seed_area": result.seed_area, "area": result.area,
         "n_evaluations": result.n_evaluations, "failed": result.failed,
         "decisions": result.decisions, "matrices": result.matrices,
-        "singular": result.singular,
+        "singular": result.singular, "screened": result.screened,
         "best_area_trace": result.best_area_trace},
         indent=2, default=float))
     if args.out and result.method is not None:

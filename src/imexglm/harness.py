@@ -300,7 +300,7 @@ def _area_entry(name, area, alpha=None):
              "area_upper": float(area.area_upper),
              "area_total": float(area.area_total),
              "decisions": area.decisions, "matrices": area.matrices,
-             "singular": area.singular}
+             "singular": area.singular, "screened": area.screened}
     if area.flagged_empty:
         entry["flagged_empty"] = True
     if area.unbounded:

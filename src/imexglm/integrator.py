@@ -331,17 +331,6 @@ def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
         stage=stage_index, residual=res_norm)
 
 
-def solve_stage(i, rhs, m: ImexGlmMethod, prob, t, h,
-                cfg: StageSolveConfig | None = None,
-                cache: StiffSolverCache | None = None,
-                predictor=None):
-    """Stage solve Y_i = rhs + h*ahat_ii * g(t + c_i h, Y_i)."""
-    gamma = h * float(m.Ahat[i, i])
-    return _stage(gamma, rhs, prob, t + float(m.c[i]) * h,
-                  cfg or StageSolveConfig(), cache or StiffSolverCache(prob),
-                  predictor=predictor, stage_index=i)[0]
-
-
 # ---------------------------------------------------------------------------
 # one step, of a GLM or of an additive RK pair (the one-value case)
 

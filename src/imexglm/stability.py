@@ -32,6 +32,14 @@ Schur-Cohn test on the resulting polynomials in z, in place, in one
 workspace.  Points where E is singular, so that the leading coefficient
 det(E) vanishes, count as unstable.
 
+Most of a large decision's w fail at a few stiff points, and one failure
+decides.  So once a batch is large (_SCREEN_MIN_COEFFS: the dimsim pairs'
+line decisions on the default query and larger queries, never the
+optimizer's coarse query), every w is first tested at the 16 stiff points
+that failed most often in the decider's earlier full tests, and only the
+survivors are tested on the whole grid.  The counts are those of the
+unscreened test, plus the number of w the screen alone put outside.
+
 All of this is numpy alone; only optimize_explicit_component imports
 scipy.optimize, on its first call.
 """
@@ -279,6 +287,27 @@ def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
 # radius from 1 to 4 gives the same decisions on the built-in methods.
 _NODE_RADIUS = 2.0
 
+# A decision whose full stack would hold at least _SCREEN_MIN_COEFFS
+# coefficients, L w values x P stiff points x (r + 1), is screened: every w
+# is first tested at the _HOT_POINTS stiff points that failed most often in
+# the decider's earlier full tests, and only the w that pass there get the
+# full grid.  One unstable stiff point puts w outside, so the screen only
+# rejects w that the full test rejects, and the survivors are decided as a
+# batch of their own would be.  (BLAS may round a matmul column differently
+# with the batch's width, so a w at rho = 1 within rounding can decide
+# differently in different batches, screened or not; on every batch of the
+# tested areas both versions agree.)
+#
+# The threshold is measured, on one core at P = 232 (the default query): a
+# screened batch of 29 bisection midpoints is faster for dimsim4 and
+# dimsim5 (34,000 and 40,000 coefficients), one of 15 about breaks even,
+# and ark4's lines (r = 1: 13,500) gain nothing, so the count includes
+# r + 1.  Thresholds from 15,000 to 30,000 gave the same default-query
+# areas within noise; 10,000 slowed ark4's default-query decisions by a
+# fifth.  8, 16 and 32 hot points were within noise of each other.
+_HOT_POINTS = 16
+_SCREEN_MIN_COEFFS = 20000
+
 
 def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
                        component: str):
@@ -296,8 +325,11 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     keeps the nodes off the positive real axis, where the implicit poles
     what = 1/lambda lie.  A decision is then one matmul of the powers of v
     against them and the Schur-Cohn test; a point whose leading
-    coefficient det(E) is 0 is singular and counts as unstable.  counts
-    tallies calls, points decided and singular points.
+    coefficient det(E) is 0 is singular and counts as unstable.
+
+    A large batch is screened at the hot stiff points first (see
+    _SCREEN_MIN_COEFFS).  counts tallies calls, points decided, singular
+    points and the w that the screen alone decided outside.
     """
     if component == "pair":
         grid = q.stiff_grid(alpha)
@@ -322,15 +354,48 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     # the coefficients' magnitude at every step, from overflowing
     _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
     C = (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
-    counts = {"decisions": 0, "matrices": 0, "singular": 0}
+    counts = {"decisions": 0, "matrices": 0, "singular": 0, "screened": 0}
+    # det(E) does not depend on w when A is strictly lower triangular, so on
+    # the pair and explicit components every leading row is (det E, 0, ...,
+    # 0) and reads det E exactly at any finite w; the screen counts singular
+    # points from that without evaluating them
+    flat = not C[:P, 1:].any()
+    n_singular = int(np.count_nonzero(C[:P, 0] == 0.0))
+    # the screen's state: failures per stiff point in the full tests so far,
+    # and the rows of C at the _HOT_POINTS points that failed most often
+    fails = np.zeros(P, dtype=np.int64)
+    hot_rows = C[:0]
 
     def inside(ws) -> np.ndarray:
         ws = np.asarray(ws, dtype=complex).ravel()
-        a = (C @ np.vander(ws, s + 1, increasing=True).T).reshape(r + 1, P, -1)
+        vt = np.vander(ws, s + 1, increasing=True).T
+        if flat and ws.size * C.shape[0] >= _SCREEN_MIN_COEFFS:
+            return screened(vt)
+        a = (C @ vt).reshape(r + 1, P, -1)
         counts["decisions"] += 1
         counts["matrices"] += ws.size * P
         counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
         return _schur_cohn(a).all(axis=0)
+
+    def screened(vt) -> np.ndarray:
+        nonlocal hot_rows
+        L = vt.shape[1]
+        counts["decisions"] += 1
+        counts["matrices"] += L * P
+        counts["singular"] += n_singular * L
+        ok = np.ones(L, dtype=bool)
+        if hot_rows.size:
+            ok = _schur_cohn((hot_rows @ vt).reshape(r + 1, -1, L)).all(axis=0)
+            counts["screened"] += L - int(np.count_nonzero(ok))
+        live = np.flatnonzero(ok)
+        if live.size:
+            stable = _schur_cohn((C @ vt[:, live]).reshape(r + 1, P, -1))
+            ok[live] = stable.all(axis=0)
+            fails[:] += live.size - np.count_nonzero(stable, axis=1)
+            hot = np.argsort(-fails, kind="stable")[:_HOT_POINTS]
+            hot = hot[fails[hot] > 0]
+            hot_rows = C.reshape(r + 1, P, -1)[:, hot].reshape(-1, s + 1)
+        return ok
 
     return inside, counts
 
@@ -406,6 +471,7 @@ class AreaResult:
                             # with the crossing search's unused ladder
                             # points and bisection branches
     singular: int = 0       # singular points met (counted unstable)
+    screened: int = 0       # w decided outside by the hot-point screen alone
 
 
 # Bisection levels of the real-axis crossing decided per batch.  A batch
@@ -657,6 +723,7 @@ class OptimizeExplicitResult:
     decisions: int = 0      # summed AreaResult counts over all evaluations
     matrices: int = 0
     singular: int = 0
+    screened: int = 0
     best_area_trace: list = field(default_factory=list)  # best area after each evaluation
 
 
@@ -702,7 +769,7 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         )
 
     state = {"n": 0, "best_area": -1.0, "best_params": None}
-    counts = {"decisions": 0, "matrices": 0, "singular": 0}
+    counts = {"decisions": 0, "matrices": 0, "singular": 0, "screened": 0}
     trace = []
 
     def area_of(params: np.ndarray) -> float:

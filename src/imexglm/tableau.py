@@ -56,7 +56,8 @@ class GlmTableau:
         for name in ("A", "U", "B", "V", "c"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         s, r = self.A.shape[0], self.V.shape[0]
-        if self.A.shape != (s, s) or self.U.shape != (s, r):
+        if self.A.shape != (s, s) or self.U.shape != (s, r) \
+                or self.V.shape != (r, r):
             raise ValueError("inconsistent tableau block shapes")
         if self.B.shape != (r, s) or self.c.shape != (s,):
             raise ValueError("inconsistent tableau block shapes")

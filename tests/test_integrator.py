@@ -11,7 +11,7 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 StageSolveError, StartingConfig,
                                 ark_step, derivative_weights,
                                 glm_step, imex_euler_ark, initialize_external,
-                                integrate, rescaling_matrix, solve_stage)
+                                integrate, rescaling_matrix)
 from imexglm.harness import (StudySpec, _ReferenceCache, build_problem,
                              run_convergence, run_workprecision)
 from imexglm.methods import bundled_ark_path, load_ark_method, resolve_method
@@ -20,6 +20,16 @@ from imexglm.problems import (KroneckerSum, allen_cahn_benchmark,
                               l2_error)
 from imexglm.stability import imex_stability_matrix
 from imexglm.tableau import additive_rk_pair
+
+
+def solve_stage(i, rhs, m, prob, t, h, cfg=None, predictor=None):
+    """Stage solve Y_i = rhs + h*ahat_ii * g(t + c_i h, Y_i), one stage of
+    glm_step on its own."""
+    gamma = h * float(m.Ahat[i, i])
+    return integrator._stage(gamma, rhs, prob, t + float(m.c[i]) * h,
+                             cfg or StageSolveConfig(),
+                             integrator.StiffSolverCache(prob),
+                             predictor=predictor, stage_index=i)[0]
 
 
 def quadrature_problem(fcoef, gcoef, t0=0.0, tF=1.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ from imexglm.stability import (DEFAULT_STIFF_MAGNITUDES,
                                max_rho_over_stiff_grid,
                                optimize_explicit_component,
                                region_boundary_points, spectral_radius)
+import imexglm.stability as stability
 from imexglm.methods import resolve_method
 from imexglm.tableau import imex_dimsim
 
@@ -503,23 +505,28 @@ class TestLockstepBisection:
         # and doublings), 4 bisection batches to x_b (11 levels, 7 + 7 + 7 + 3
         # midpoints), 1 decision on the starts of the 30 lines, then 13 levels
         # over the 29 lines inside, at 232 stiff points each:
-        # (15 + 24 + 30 + 13 * 29) * 232
+        # (15 + 24 + 30 + 13 * 29) * 232.  The 14 line decisions are screened
+        # (29 or 30 w x 232 x 5 coefficients), and the screen alone puts 224
+        # of their w outside
         res, b = constrained_region_area(dimsim4, StabilityQuery())
         assert (res.decisions, res.matrices, res.singular) == (19, 103_472, 0)
+        assert res.screened == 224
         assert b.counts == {"decisions": 19, "matrices": 103_472,
-                            "singular": 0}
+                            "singular": 0, "screened": 224}
         # coarse query: 13 ladder points, 3 batches (9 levels, 21 midpoints),
         # the starts of 12 lines, 11 levels over 11 lines, at 28 stiff points
-        # each: (13 + 21 + 12 + 11 * 11) * 28
+        # each: (13 + 21 + 12 + 11 * 11) * 28.  No batch is screened
         res, _ = constrained_region_area(dimsim4, coarse_query)
         assert (res.decisions, res.matrices, res.singular) == (16, 4_676, 0)
+        assert res.screened == 0
 
     def test_singular_point_counts_unstable(self, coarse_query):
         toy = singular_toy()
         inside, counts = _stability_decider(toy, coarse_query,
                                             coarse_query.alpha, "pair")
         assert not inside([-0.5, -1.0 + 0.5j]).any()
-        assert counts == {"decisions": 1, "matrices": 56, "singular": 2}
+        assert counts == {"decisions": 1, "matrices": 56, "singular": 2,
+                          "screened": 0}
         assert max_rho_over_stiff_grid(toy, -0.5, coarse_query,
                                        return_detail=True) == (np.inf, 1)
         # implicit component: M(0, z) = (1 + 2z) / (1 + z), singular at -1
@@ -532,6 +539,129 @@ class TestLockstepBisection:
         res, _ = constrained_region_area(toy, coarse_query)
         assert res.flagged_empty
         assert (res.decisions, res.matrices, res.singular) == (1, 13 * 28, 13)
+        assert res.screened == 0
+
+
+def unscreened_decider(m, q, alpha, component):
+    """_stability_decider as it was before the screen: every batch against
+    the whole stiff grid in one matmul and one Schur-Cohn test."""
+    if component == "pair":
+        grid = q.stiff_grid(alpha)
+    else:
+        grid = np.zeros(1, dtype=complex)
+    s, r, P = m.s, m.r, grid.size
+    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
+    v = np.concatenate(([0.0], nodes))
+    if component == "implicit":
+        Q = _pair_charpolys(m, 0.0, v)[:, None]
+    else:
+        Q = _pair_charpolys(m, v, grid)
+    D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
+    D /= (s * nodes[0] ** np.arange(s))[:, None, None]
+    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
+    _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
+    C = (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
+    counts = {"decisions": 0, "matrices": 0, "singular": 0}
+
+    def inside(ws) -> np.ndarray:
+        ws = np.asarray(ws, dtype=complex).ravel()
+        a = (C @ np.vander(ws, s + 1, increasing=True).T).reshape(r + 1, P, -1)
+        counts["decisions"] += 1
+        counts["matrices"] += ws.size * P
+        counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
+        return _schur_cohn(a).all(axis=0)
+
+    return inside, counts
+
+
+def recorded_batches(m, q):
+    """constrained_region_area's result and every batch it decided, in
+    order."""
+    batches = []
+    real = stability._stability_decider
+
+    def recording(*args):
+        inside, counts = real(*args)
+
+        def record(ws):
+            batches.append(np.asarray(ws, dtype=complex).ravel())
+            return inside(ws)
+        return record, counts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_stability_decider", recording)
+        res, _ = constrained_region_area(m, q)
+    return res, batches
+
+
+def assert_replays_unscreened(m, q, component, batches):
+    """Decide the batches in order with the screened decider and the
+    unscreened oracle; return the screened decider's counts."""
+    inside, counts = _stability_decider(m, q, q.alpha, component)
+    oracle, want = unscreened_decider(m, q, q.alpha, component)
+    for ws in batches:
+        assert np.array_equal(inside(ws), oracle(ws))
+    assert {k: counts[k] for k in want} == want
+    return counts
+
+
+class TestScreenOracle:
+    """The hot-point screen against the unscreened decider it replaces."""
+
+    @pytest.mark.parametrize("query", ["default", "coarse", "rays"])
+    def test_area_batches_match_unscreened(self, query, coarse_query):
+        # rays: item 1's converged query, 193 magnitudes to 1e7 on the two
+        # boundary rays, 120 lines, tol 1e-4
+        q = {"default": StabilityQuery(), "coarse": coarse_query,
+             "rays": dataclasses.replace(rays_query(7.0, 193), n_lines=120,
+                                         tol=1e-4)}[query]
+        screened = {}
+        for name in ("dimsim4", "dimsim5", "ark4"):
+            m = resolve_method(name)
+            res, batches = recorded_batches(m, q)
+            counts = assert_replays_unscreened(m, q, "pair", batches)
+            assert counts == {"decisions": res.decisions,
+                              "matrices": res.matrices,
+                              "singular": res.singular,
+                              "screened": res.screened}
+            screened[name] = res.screened
+        if query == "coarse":
+            # at most 13 w x 28 points x 5 coefficients: never screened
+            assert screened == {"dimsim4": 0, "dimsim5": 0, "ark4": 0}
+        elif query == "default":
+            # ark4 has r = 1, so its 30-line batches hold 13,920
+            # coefficients, below the threshold
+            assert screened["dimsim4"] > 0 and screened["dimsim5"] > 0
+            assert screened["ark4"] == 0
+        else:
+            assert min(screened.values()) > 0
+
+    def test_singular_points_under_the_screen(self):
+        # what = -1 is on the default grid; 60 w x 232 x 2 coefficients are
+        # screened, and each w meets the singular point once
+        toy = singular_toy()
+        q = StabilityQuery()
+        rng = np.random.default_rng(25)
+        batches = [rng.uniform(-2.0, 0.5, 60) + 1j * rng.uniform(0, 2, 60)
+                   for _ in range(3)]
+        counts = assert_replays_unscreened(toy, q, "pair", batches)
+        assert counts["singular"] == 180
+        assert counts["decisions"] == 3
+
+    @pytest.mark.parametrize("component", ["explicit", "implicit"])
+    def test_components_match_unscreened(self, dimsim5, component):
+        # one stiff point: only batches of 3,334 w or more reach the
+        # threshold, and the implicit component's leading coefficient
+        # varies along the line, so it is never screened
+        q = StabilityQuery()
+        rng = np.random.default_rng(26)
+        batches = [rng.uniform(-6.0, 0.5, n) + 1j * rng.uniform(0, 8, n)
+                   for n in (4_000, 4_000, 50)]
+        counts = assert_replays_unscreened(dimsim5, q, component, batches)
+        if component == "implicit":
+            assert counts["screened"] == 0
+        else:
+            assert counts["screened"] > 0
 
 
 def serial_crossing(inside, tol, x_cap):

@@ -244,6 +244,13 @@ class TestValidation:
             GlmTableau(A=np.zeros((2, 2)), U=np.eye(2), B=np.zeros((3, 2)),
                        V=np.eye(2), c=np.array([0.0, 1.0]))
 
+    def test_non_square_V_raises(self):
+        # r is read from V's rows, so a (2, 3) V would pass the U and B
+        # checks and fail later in glm_stability_matrix
+        with pytest.raises(ValueError, match="inconsistent tableau"):
+            GlmTableau(A=np.zeros((2, 2)), U=np.eye(2), B=np.zeros((2, 2)),
+                       V=np.zeros((2, 3)), c=np.array([0.0, 1.0]))
+
     def test_coefficients_are_readonly(self, dimsim4):
         with pytest.raises(ValueError):
             dimsim4.A[0, 0] = 1.0
