@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from imexglm.methods import resolve_method
-from imexglm.stability import StabilityQuery, optimize_explicit_component
+from imexglm.stability import COARSE_QUERY, optimize_explicit_component
 from imexglm.tableau import save_method
 
 
@@ -23,14 +23,12 @@ def main():
     args = ap.parse_args()
 
     m = resolve_method(args.method)
-    q = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
-                       n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
     best = None
     runs = [("seeded", np.asarray(m.A), 0)]
     runs += [("random", None, int(s)) for s in args.seeds.split(",")]
     for label, seed_matrix, rng_seed in runs:
         res = optimize_explicit_component(m.implicit, np.asarray(m.c),
-                                          np.asarray(m.v), q,
+                                          np.asarray(m.v), COARSE_QUERY,
                                           budget=args.budget,
                                           seed_matrix=seed_matrix,
                                           rng_seed=rng_seed)

@@ -76,6 +76,5 @@ from .harness import (
     run_convergence,
     run_workprecision,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

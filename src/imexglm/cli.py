@@ -20,7 +20,7 @@ from .harness import (StudySpec, build_problem, emit_stability,
 from .integrator import IntegrationError, integrate
 from .methods import resolve_method
 from .problems import ReferenceFailureError, l2_error, reference_solution
-from .stability import StabilityQuery, constrained_region_area, optimize_explicit_component
+from .stability import COARSE_QUERY, StabilityQuery, optimize_explicit_component
 from .tableau import save_method, validate_method
 
 USAGE_EXIT = 64
@@ -41,8 +41,8 @@ def _build_parser() -> _Parser:
     # each subcommand is offered only the options it reads
     def common(sp, out=True, problem=False, fmt=False, study=True):
         sp.add_argument("--method", default="dimsim4",
-                        help="dimsim4 | dimsim5 | imex-euler | ark4 | ark5 "
-                             "| path to a method file; converge, "
+                        help="dimsim4 | dimsim5 | imex-euler | imex-euler-ark "
+                             "| ark4 | ark5 | path to a method file; converge, "
                              "work-precision and stability take a "
                              "comma-separated list")
         if out:
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--tau-ratio", type=float, default=0.5,
                             help="starting micro-step as a fraction of h")
             sp.add_argument("--starter", default="auto",
-                            help="auto | imex-euler | path to an ARK file")
+                            help="auto | any --method name of an additive RK pair")
             if study:
                 sp.add_argument("--steps", default="25,50,100,200",
                                 help="comma-separated step counts")
@@ -220,11 +220,8 @@ def _cmd_optimize(args) -> int:
     if m.s != m.r:
         # the explicit B is rebuilt from the DIMSIM order conditions
         raise IntegrationError("optimizer needs a DIMSIM pair (s = r)")
-    # coarse query keeps a 2000-evaluation budget within minutes
-    q = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
-                       n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
     result = optimize_explicit_component(
-        m.implicit, np.asarray(m.c), np.asarray(m.v), q,
+        m.implicit, np.asarray(m.c), np.asarray(m.v), COARSE_QUERY,
         budget=args.budget, seed_matrix=np.asarray(m.A), rng_seed=args.seed)
     print(json.dumps({
         "method": m.name, "seed_area": result.seed_area, "area": result.area,

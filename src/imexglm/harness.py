@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .integrator import IntegrationError, StartingConfig, integrate
-from .methods import bundled_ark_path, resolve_method
+from .methods import resolve_method
 from .problems import (DEFAULT_REFERENCE_STEPS, allen_cahn_benchmark,
                        burgers_benchmark, dahlquist_split_problem, l2_error,
                        reference_solution)
@@ -41,7 +41,7 @@ class StudySpec:
     problem_params: dict = field(default_factory=dict)
     n_ref: int | None = None
     tau_ratio: float = 0.5
-    starter: str = "auto"          # "auto" | "imex-euler" | path to ARK file
+    starter: str = "auto"          # "auto" | a method name of an additive RK pair
     repeats: int = 3
     require_orders: bool = True    # single-run specs may drop the 3-point rule
 
@@ -78,12 +78,16 @@ def _reference_steps(spec: StudySpec) -> int:
 
 
 def starter_config(spec: StudySpec, m: ImexGlmMethod) -> StartingConfig:
-    """Starter selection: IMEX Euler micro-steps by default, switching to
-    the bundled fourth-order ARK starter for methods of order five and up
-    (the Euler starter costs them observed order)."""
-    scheme = spec.starter
-    if scheme == "auto":
-        scheme = bundled_ark_path(4) if m.p >= 5 else "imex-euler"
+    """spec.starter is "auto" or any method name of an additive RK pair.
+    "auto" takes imex-euler-ark, or ark4 for starting weights of degree
+    five and up, whose observed order the Euler starter costs."""
+    name = spec.starter
+    if name == "auto":
+        name = "ark4" if m.Q.shape[1] - 1 >= 5 else "imex-euler-ark"
+    scheme = resolve_method(name)
+    if not scheme.is_additive_rk:
+        raise ValueError(f"starter {name!r} ({scheme.name}) is not an additive "
+                         "RK pair; the IMEX Euler starter is 'imex-euler-ark'")
     return StartingConfig(scheme=scheme, tau_ratio=spec.tau_ratio)
 
 

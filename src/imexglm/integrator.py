@@ -46,7 +46,6 @@ never loads scipy.sparse.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -55,7 +54,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .methods import load_ark_method
 from .tableau import ImexGlmMethod, additive_rk_pair
 
 
@@ -153,16 +151,6 @@ class StageSolveConfig:
             raise ValueError("newton_tol must be > 0 and max_newton >= 1")
 
 
-@dataclass(frozen=True)
-class StartingConfig:
-    """Starting micro-step tau and the auxiliary scheme that generates the
-    r-1 micro-solutions.  scheme is 'imex-euler', an additive RK pair, or
-    a path to an ARK coefficient file."""
-
-    tau_ratio: float = 0.5             # tau as a fraction of h
-    scheme: object = "imex-euler"
-
-
 def imex_euler_ark() -> ImexGlmMethod:
     """IMEX Euler as a 2-stage additive RK pair (forward/backward Euler)."""
     return additive_rk_pair(
@@ -170,6 +158,16 @@ def imex_euler_ark() -> ImexGlmMethod:
         A_explicit=[[0.0, 0.0], [1.0, 0.0]], b_explicit=[1.0, 0.0],
         A_implicit=[[0.0, 0.0], [0.0, 1.0]], b_implicit=[0.0, 1.0],
     )
+
+
+@dataclass(frozen=True)
+class StartingConfig:
+    """Starting micro-step tau and the auxiliary scheme that generates the
+    r-1 micro-solutions: an additive RK pair, by default IMEX Euler
+    (imex-euler-ark); methods.resolve_method gives one by name."""
+
+    tau_ratio: float = 0.5             # tau as a fraction of h
+    scheme: ImexGlmMethod = field(default_factory=imex_euler_ark)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +395,6 @@ def rescaling_matrix(h: float, tau: float, r: int) -> np.ndarray:
     return np.diag((h / tau) ** np.arange(1, r + 1))
 
 
-def _starter_stepper(scheme, cfg, cache):
-    """Map a StartingConfig scheme to a micro-step function."""
-    if isinstance(scheme, str) and scheme == "imex-euler":
-        scheme = imex_euler_ark()
-    elif isinstance(scheme, (str, os.PathLike)):
-        scheme = load_ark_method(scheme)
-    if not getattr(scheme, "is_additive_rk", False):
-        raise TypeError("starting scheme must be 'imex-euler', an additive "
-                        "RK pair, or a path to an ARK file")
-
-    def step(prob, y, t, tau):
-        return ark_step(scheme, prob, y, t, tau, cfg, cache)
-
-    return step
-
-
 def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
                         start: StartingConfig | None = None,
                         cfg: StageSolveConfig | None = None,
@@ -430,6 +412,8 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
     finite-difference weights.
     """
     start = start or StartingConfig()
+    if not getattr(start.scheme, "is_additive_rk", False):
+        raise TypeError("starting scheme must be an additive RK pair")
     cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
     r = m.r
@@ -439,12 +423,9 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
 
     t0, y0 = prob.t0, prob.y0
     ys = [y0]
-    if r > 1:
-        micro = _starter_stepper(start.scheme, cfg, cache)
-        y = y0
-        for j in range(r - 1):
-            y = micro(prob, y, t0 + j * tau, tau)
-            ys.append(y)
+    for j in range(r - 1):
+        ys.append(ark_step(start.scheme, prob, ys[-1], t0 + j * tau, tau,
+                           cfg, cache))
     # f and g at one node in turn, so they share the problem's time memo
     Fs, Gs = np.empty((2, r, prob.d))
     for j in range(r):

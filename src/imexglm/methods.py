@@ -13,6 +13,7 @@ not baked into code: they live in JSON data files (see data/) and are
 loaded through load_ark_method.  Two Kennedy-Carpenter pairs,
 ARK4(3)6L[2]SA and ARK5(4)8L[2]SA, ship with the package; the JSON is
 regenerated from exact rationals by scripts/make_ark_tables.py.
+resolve_method turns every method name into a method.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .integrator import imex_euler_ark
 from .tableau import (
     ImexGlmMethod,
     MethodFileError,
     _parse_array,
     _read_json_object,
     additive_rk_pair,
-    load_method,
+    method_from_dict,
     starting_weight_matrix,
 )
 
@@ -164,20 +166,20 @@ def builtin_imex_euler() -> ImexGlmMethod:
 _ARK_ABSCISSAE_TOL = 1e-10
 
 
-def load_ark_method(path) -> ImexGlmMethod:
-    """Load an additive RK pair, as a one-value GLM pair, from a JSON
-    coefficient file.
+def ark_method_from_dict(d: dict, source) -> ImexGlmMethod:
+    """An additive RK pair, as a one-value GLM pair, from the parsed JSON
+    object of an ARK coefficient file; source (the file's path) names the
+    file in errors and gives the default name.
 
     Numbers may be decimal strings or plain JSON numbers.  The stated
     abscissae must match the row sums of both coupling matrices; a mismatch
     is rejected naming the offending stage, since silently inconsistent
     stage times is the classic transcription failure for these tables.
     """
-    d = _read_json_object(path)
     required = ["sigma", "c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"]
     missing = [k for k in required if k not in d]
     if missing:
-        raise MethodFileError(f"{path}: ARK file missing fields: {missing}")
+        raise MethodFileError(f"{source}: ARK file missing fields: {missing}")
     try:
         sigma = int(d["sigma"])
     except (TypeError, ValueError) as exc:
@@ -190,10 +192,10 @@ def load_ark_method(path) -> ImexGlmMethod:
     bi = _parse_array(d["b_implicit"], (sigma,), "b_implicit")
 
     try:
-        m = additive_rk_pair(str(d.get("name", Path(path).stem)),
+        m = additive_rk_pair(str(d.get("name", Path(source).stem)),
                              c, Ae, be, Ai, bi)
     except ValueError as exc:
-        raise MethodFileError(f"{path}: {exc}") from exc
+        raise MethodFileError(f"{source}: {exc}") from exc
     for label, A in (("explicit", Ae), ("implicit", Ai)):
         rowsum = A.sum(axis=1)
         bad = np.nonzero(np.abs(rowsum - c) > _ARK_ABSCISSAE_TOL)[0]
@@ -204,6 +206,11 @@ def load_ark_method(path) -> ImexGlmMethod:
                 f"row sum {rowsum[i]!r} vs c[{i}]={c[i]!r}"
             )
     return m
+
+
+def load_ark_method(path) -> ImexGlmMethod:
+    """Load an additive RK pair from a JSON coefficient file."""
+    return ark_method_from_dict(_read_json_object(path), path)
 
 
 def bundled_ark_path(order: int) -> Path:
@@ -218,29 +225,27 @@ BUILTIN_METHODS = {
     "dimsim4": builtin_imex_dimsim4,
     "dimsim5": builtin_imex_dimsim5,
     "imex-euler": builtin_imex_euler,
+    "imex-euler-ark": imex_euler_ark,
+    "ark4": lambda: load_ark_method(bundled_ark_path(4)),
+    "ark5": lambda: load_ark_method(bundled_ark_path(5)),
 }
 
 
-_ARK_ALIASES = {"ark4": 4, "ark5": 5}
-
-
 def resolve_method(spec: str) -> ImexGlmMethod:
-    """Map a CLI method spec to a method.
+    """Map a method name to a method: the one place a string becomes one.
 
-    Accepts a builtin name (dimsim4, dimsim5, imex-euler), an alias of a
-    bundled ARK comparator (ark4, ark5) or a path to a JSON file; files
-    with a `sigma` field load as additive RK pairs, all others as GLM pairs.
+    Accepts a builtin name (dimsim4, dimsim5, imex-euler, the starter pair
+    imex-euler-ark, the bundled ARK comparators ark4 and ark5) or a path
+    to a JSON file; files with a `sigma` field load as additive RK pairs,
+    all others as GLM pairs.
     """
     if spec in BUILTIN_METHODS:
         return BUILTIN_METHODS[spec]()
-    if spec in _ARK_ALIASES:
-        return load_ark_method(bundled_ark_path(_ARK_ALIASES[spec]))
     path = Path(spec)
     if not path.exists():
         raise MethodFileError(
             f"unknown method {spec!r}: not a builtin ({', '.join(sorted(BUILTIN_METHODS))}) "
             "and no such file"
         )
-    if "sigma" in _read_json_object(path):
-        return load_ark_method(path)
-    return load_method(path)
+    d = _read_json_object(path)
+    return ark_method_from_dict(d, path) if "sigma" in d else method_from_dict(d)

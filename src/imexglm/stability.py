@@ -100,6 +100,11 @@ class StabilityQuery:
         return np.concatenate(([0.0 + 0.0j], pts))
 
 
+# the optimizer's query, coarse so a 2000-evaluation budget takes minutes
+COARSE_QUERY = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
+                              n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
+
+
 def glm_stability_matrix(t: GlmTableau, z: complex) -> np.ndarray:
     """M(z) = V + z B (I - zA)^{-1} U for a single tableau."""
     s = t.s

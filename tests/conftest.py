@@ -5,7 +5,7 @@ from imexglm.methods import (builtin_imex_dimsim4, builtin_imex_dimsim5,
                              builtin_imex_euler)
 from imexglm.problems import (allen_cahn_problem, burgers_problem,
                               reference_solution)
-from imexglm.stability import StabilityQuery
+from imexglm.stability import COARSE_QUERY
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +26,7 @@ def euler_glm():
 @pytest.fixture(scope="session")
 def coarse_query():
     """Cheap region query for tests that only need qualitative areas."""
-    return StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
-                          n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
+    return COARSE_QUERY
 
 
 @pytest.fixture(scope="session")

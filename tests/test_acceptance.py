@@ -27,7 +27,7 @@ from imexglm.integrator import (ExternalState, SemiDiscreteProblem,
                                 StartingConfig, glm_step,
                                 initialize_external, integrate)
 from imexglm.methods import (builtin_imex_dimsim4, bundled_ark_path,
-                             load_ark_method)
+                             load_ark_method, resolve_method)
 from imexglm.problems import (allen_cahn_problem, burgers_problem,
                               dahlquist_split_problem, l2_error,
                               reference_solution)
@@ -219,7 +219,8 @@ def test_criterion_6_order_reduction_contrast(capsys):
     ark = load_ark_method(bundled_ark_path(4))
     errs_ark = [l2_error(integrate(ark, prob, N).y, ref) for N in steps]
     m4 = builtin_imex_dimsim4()
-    start = StartingConfig(scheme="imex-euler", tau_ratio=0.5)
+    start = StartingConfig(scheme=resolve_method("imex-euler-ark"),
+                           tau_ratio=0.5)
     errs_glm = [l2_error(integrate(m4, prob, N, start=start).y, ref)
                 for N in steps]
     slope_ark = _lsq_slope(steps, errs_ark)

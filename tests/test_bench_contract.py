@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from imexglm.stability import COARSE_QUERY, StabilityQuery
+
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
@@ -23,3 +25,12 @@ def test_setup_only_reports_seconds(workload):
     assert out.returncode == 0, out.stderr[-2000:]
     last = json.loads(out.stdout.strip().splitlines()[-1])
     assert last["seconds"] > 0.0
+
+
+def test_optimizer_query_is_the_coarse_query():
+    # the stability workload's optimizer run and imexglm optimize-explicit
+    # search on one query
+    expected = json.loads((RUN.parent / "expected.json").read_text())
+    query = dict(expected["stability"]["opt_query"])
+    query["stiff_magnitudes"] = tuple(query["stiff_magnitudes"])
+    assert StabilityQuery(**query) == COARSE_QUERY

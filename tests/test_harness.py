@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -11,8 +12,8 @@ from imexglm.harness import (STABILITY_ALPHAS, ConvergenceStudy, StudySpec,
                              _ReferenceCache, build_problem, emit_stability,
                              run_convergence, run_workprecision,
                              starter_config, write_study_csv)
-from imexglm.integrator import SemiDiscreteProblem
-from imexglm.methods import bundled_ark_path, load_ark_method
+from imexglm.integrator import SemiDiscreteProblem, imex_euler_ark, integrate
+from imexglm.methods import bundled_ark_path, load_ark_method, resolve_method
 from imexglm.tableau import method_to_dict, save_method
 
 
@@ -49,23 +50,58 @@ class TestStudySpec:
             build_problem(dahlquist_spec(problem="heat"))
 
 
+PAIR_FIELDS = ("c", "U", "v", "A", "B", "Ahat", "Bhat", "Q", "Qhat")
+
+
+def same_pair(a, b):
+    """Same name and bitwise the same coefficients."""
+    return a.name == b.name and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) for k in PAIR_FIELDS)
+
+
 class TestStarterPolicy:
     def test_auto_uses_euler_for_order_four(self, dimsim4):
         cfg = starter_config(dahlquist_spec(tau_ratio=0.25), dimsim4)
-        assert cfg.scheme == "imex-euler"
+        assert same_pair(cfg.scheme, imex_euler_ark())
         assert cfg.tau_ratio == 0.25
 
     def test_auto_switches_for_order_five(self, dimsim5):
         cfg = starter_config(dahlquist_spec(), dimsim5)
-        assert cfg.scheme == bundled_ark_path(4)
+        assert same_pair(cfg.scheme, load_ark_method(bundled_ark_path(4)))
+
+    def test_auto_reads_the_starting_weight_degree(self, dimsim4, dimsim5):
+        # the degree is the width of Q, whatever p records
+        low = starter_config(dahlquist_spec(), dataclasses.replace(dimsim5, p=1))
+        assert same_pair(low.scheme, resolve_method("ark4"))
+        high = starter_config(dahlquist_spec(), dataclasses.replace(dimsim4, p=5))
+        assert same_pair(high.scheme, imex_euler_ark())
 
     def test_explicit_override_wins(self, dimsim5):
-        cfg = starter_config(dahlquist_spec(starter="imex-euler"), dimsim5)
-        assert cfg.scheme == "imex-euler"
+        cfg = starter_config(dahlquist_spec(starter="imex-euler-ark"), dimsim5)
+        assert same_pair(cfg.scheme, imex_euler_ark())
 
-    def test_path_starter_passthrough(self, dimsim4):
-        cfg = starter_config(dahlquist_spec(starter="some/ark.json"), dimsim4)
-        assert cfg.scheme == "some/ark.json"
+    def test_path_starter_resolves(self, dimsim4):
+        path = bundled_ark_path(5)
+        cfg = starter_config(dahlquist_spec(starter=str(path)), dimsim4)
+        assert same_pair(cfg.scheme, load_ark_method(path))
+
+    @pytest.mark.parametrize("name", ["dimsim4", "imex-euler"])
+    def test_starter_must_be_an_additive_rk_pair(self, name, dimsim4):
+        # imex-euler is the one-value GLM pair, as under --method
+        with pytest.raises(ValueError, match="additive RK pair.*imex-euler-ark"):
+            starter_config(dahlquist_spec(starter=name), dimsim4)
+
+    @pytest.mark.parametrize("problem, params", [
+        ("dahlquist", {}), ("burgers", {"n": 10})], ids=["dahlquist", "burgers"])
+    def test_auto_is_bitwise_the_named_ark4_starter(self, problem, params,
+                                                    dimsim5):
+        runs = []
+        for starter in ("auto", "ark4"):
+            spec = dahlquist_spec(problem=problem, problem_params=params,
+                                  starter=starter)
+            runs.append(integrate(dimsim5, build_problem(spec), 20,
+                                  start=starter_config(spec, dimsim5)).y)
+        assert np.array_equal(*runs)
 
 
 class TestConvergence:
@@ -121,7 +157,7 @@ class TestConvergence:
         cache._refs[("allen-cahn", (), 5000)] = allen_cahn_reference
         spec = StudySpec(problem="allen-cahn", methods=("dimsim5",),
                          steps=(25, 50), require_orders=False,
-                         starter="imex-euler")
+                         starter="imex-euler-ark")
         (study,) = run_convergence(spec, cache)
         first, second = study.rows
         assert first.error is None
@@ -421,6 +457,24 @@ class TestCli:
             cli_main(["converge", "--problem", "dahlquist",
                       "--steps", "a,b"])
         assert info.value.code == 64
+
+    @pytest.mark.parametrize("starter", [
+        "ark4", "ark5", "imex-euler-ark", str(bundled_ark_path(5))],
+        ids=["ark4", "ark5", "imex-euler-ark", "ark548.json"])
+    def test_starter_takes_any_additive_rk_name(self, starter, capsys):
+        rc = cli_main(["integrate", "--problem", "dahlquist", "--method",
+                       "dimsim5", "--starter", starter, "--steps", "20"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["error_vs_exact"] < 1e-4
+
+    @pytest.mark.parametrize("starter", ["dimsim4", "imex-euler"])
+    def test_starter_that_is_no_additive_rk_pair_exits_two(self, starter,
+                                                            capsys):
+        rc = cli_main(["integrate", "--problem", "dahlquist", "--method",
+                       "dimsim5", "--starter", starter])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "additive RK pair" in line
 
     def test_runtime_failure_exits_two(self, capsys):
         rc = cli_main(["optimize-explicit", "--method", "ark4"])

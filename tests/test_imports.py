@@ -26,6 +26,7 @@ def scipy_modules():
 seen = {}
 import imexglm, imexglm.cli
 seen["import"] = scipy_modules()
+from imexglm.stability import COARSE_QUERY
 from imexglm import (StabilityQuery, allen_cahn_problem, burgers_problem,
                      constrained_region_area, dahlquist_split_problem,
                      integrate, optimize_explicit_component,
@@ -47,9 +48,7 @@ seen["dahlquist"] = scipy_modules()
 pdes[1].stiff_solver = None
 integrate(m, pdes[1], 10)
 seen["superlu"] = scipy_modules()
-coarse = StabilityQuery(stiff_magnitudes=(0.0, 1e-2, 1.0, 100.0),
-                        n_angles=9, tol=5e-3, y_top=8.0, n_lines=12)
-optimize_explicit_component(m.implicit, m.c, m.v, coarse, budget=5,
+optimize_explicit_component(m.implicit, m.c, m.v, COARSE_QUERY, budget=5,
                             seed_matrix=m.A)
 seen["optimize"] = scipy_modules()
 print(json.dumps(seen))
@@ -91,3 +90,15 @@ def test_dense_factorization_loads_no_sparse_module():
     seen = set(json.loads(out.stdout))
     assert "scipy.linalg" in seen
     assert not {m for m in seen if m.startswith("scipy.sparse")}
+
+
+def test_cli_module_runs_without_runtime_warning():
+    # `import imexglm` must not import imexglm.cli, or runpy warns that the
+    # module was imported before it ran as __main__
+    env = dict(os.environ, PYTHONPATH=str(Path(imexglm.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "imexglm.cli", "validate-method", "--method",
+                          "dimsim4"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""

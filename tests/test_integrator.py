@@ -130,9 +130,11 @@ class TestStartingProcedure:
             initialize_external(dimsim4, prob, 0.05, StartingConfig(tau_ratio=0.0))
 
     def test_file_scheme(self, dimsim5):
+        # a pair loaded from an ARK file
         prob = dahlquist_split_problem(-0.3, -2.0)
         state = initialize_external(
-            dimsim5, prob, 0.05, StartingConfig(scheme=bundled_ark_path(4)))
+            dimsim5, prob, 0.05,
+            StartingConfig(scheme=load_ark_method(bundled_ark_path(4))))
         assert state.blocks.shape == (5, prob.d)
 
     def test_bad_scheme_type(self, dimsim4):
@@ -143,15 +145,28 @@ class TestStartingProcedure:
 
     def test_scheme_is_an_additive_rk_pair(self, dimsim4, euler_glm):
         prob = dahlquist_split_problem(-0.3, -2.0)
-        by_path = initialize_external(
-            dimsim4, prob, 0.05, StartingConfig(scheme=bundled_ark_path(4)))
+        by_name = initialize_external(
+            dimsim4, prob, 0.05, StartingConfig(scheme=resolve_method("ark4")))
         by_method = initialize_external(
             dimsim4, prob, 0.05, StartingConfig(scheme=_m4()))
-        assert np.array_equal(by_path.blocks, by_method.blocks)
+        assert np.array_equal(by_name.blocks, by_method.blocks)
         # one value, but not an additive RK pair: its value is y - h g
         with pytest.raises(TypeError, match="additive RK pair"):
             initialize_external(dimsim4, prob, 0.05,
                                 StartingConfig(scheme=euler_glm))
+        # names and files go through resolve_method, not the stepper
+        for scheme in ("imex-euler-ark", bundled_ark_path(4)):
+            with pytest.raises(TypeError, match="additive RK pair"):
+                initialize_external(dimsim4, prob, 0.05,
+                                    StartingConfig(scheme=scheme))
+
+    def test_default_scheme_is_the_imex_euler_pair(self, dimsim4):
+        prob = dahlquist_split_problem(-0.3, -2.0)
+        default = initialize_external(dimsim4, prob, 0.05)
+        named = initialize_external(
+            dimsim4, prob, 0.05,
+            StartingConfig(scheme=resolve_method("imex-euler-ark")))
+        assert np.array_equal(default.blocks, named.blocks)
 
 
 class TestStepLinearity:
@@ -214,7 +229,7 @@ class TestStageSolves:
                                                          dimsim5, monkeypatch):
         # the fast-diagonalization path and SuperLU give the same runs; it
         # is built once per distinct gamma and SuperLU is never reached
-        start5 = StartingConfig(scheme=bundled_ark_path(4))
+        start5 = StartingConfig(scheme=_m4())
         runs = {"dimsim4": (lambda p: integrate(dimsim4, p, 40), 2),
                 "dimsim5": (lambda p: integrate(dimsim5, p, 40, start=start5), 2),
                 "ark4": (lambda p: integrate(_m4(), p, 40), 1)}
@@ -770,7 +785,7 @@ class TestConvergenceOrders:
 
     def test_dimsim5_order_with_file_starter(self, dimsim5):
         prob = dahlquist_split_problem(-1.0, -6.0, t_final=2.0)
-        start = StartingConfig(scheme=bundled_ark_path(4))
+        start = StartingConfig(scheme=_m4())
         slope, _ = observed_order(dimsim5, prob, [20, 40, 80], start=start)
         assert slope >= 4.7
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexglm import integrator, problems
-from imexglm.integrator import StageSolveError, StartingConfig, integrate
-from imexglm.methods import bundled_ark_path, resolve_method
+from imexglm.integrator import (StageSolveError, StartingConfig,
+                                imex_euler_ark, integrate)
+from imexglm.methods import resolve_method
 from imexglm.problems import (DEFAULT_REFERENCE_STEPS, Grid2D,
                               ReferenceFailureError, _allen_cahn_fields,
                               KroneckerSum, allen_cahn_benchmark,
@@ -502,7 +503,7 @@ class TestTimeMemo:
             assert rings == []
 
     @pytest.mark.parametrize("method, scheme", [
-        ("dimsim4", "imex-euler"), ("dimsim5", bundled_ark_path(4))],
+        ("dimsim4", imex_euler_ark()), ("dimsim5", resolve_method("ark4"))],
         ids=["dimsim4", "dimsim5"])
     def test_starter_nodes_share_one_ring(self, method, scheme, monkeypatch):
         rings, calls = [], []
