@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -266,13 +266,14 @@ def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir) -> dict:
     shat.csv    implicit-component region boundary
     s_alpha.csv pair-region boundaries for alpha in {pi/2, pi/3, pi/4},
                 distinguished by the alpha column
-    areas.json  area report per region
+    areas.json  area report per region, after the query that made it
 
     Returns the area report dictionary.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"method": m.name, "convention": "total",
+              "query": _query_entry(query),
               "explicit": None, "implicit": None, "pair": []}
 
     area, boundary = constrained_region_area(m, query, component="explicit")
@@ -295,6 +296,10 @@ def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir) -> dict:
 
     (out_dir / "areas.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
+
+
+def _query_entry(q: StabilityQuery) -> dict:
+    return dict(asdict(q), stiff_magnitudes=[float(x) for x in q.stiff_magnitudes])
 
 
 def _area_entry(name, area, alpha=None):

@@ -27,6 +27,11 @@ coefficients are interpolated once per region: E is lower triangular, so
 det(E) is the product of its diagonal and E^{-1} U a forward substitution,
 and each stiff point's coefficients are scaled by a power of two (exact)
 so that the Schur-Cohn products cannot overflow however large |what| is.
+Q has degree <= s in what too, so when the grid's rings |what| = rho hold
+many angles (_RING_MIN_ANGLES: the default query, not the optimizer's
+coarse one nor the boundary rays) the set-up evaluates Q at s + 1 points
+per ring and interpolates it to the ring's grid points, with det(E) still
+set per point.
 A decision evaluates them at every v with one matmul and runs the
 Schur-Cohn test on the resulting polynomials in z, in place, in one
 workspace.  Points where E is singular, so that the leading coefficient
@@ -90,14 +95,24 @@ class StabilityQuery:
     def angles(self) -> np.ndarray:
         return np.linspace(-math.pi / 2, math.pi / 2, self.n_angles)
 
-    def stiff_grid(self, alpha: float | None = None) -> np.ndarray:
-        """Stiff test values -rho e^{i theta} with |theta| <= alpha, plus 0."""
+    def rings(self, alpha: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The stiff grid's layout: its nonzero magnitudes rho and its
+        angles theta with |theta| <= alpha."""
         alpha = self.alpha if alpha is None else alpha
         th = self.angles()
         th = th[np.abs(th) <= alpha + 1e-12]
         mags = np.array([m for m in self.stiff_magnitudes if m > 0.0])
-        pts = (-mags[:, None] * np.exp(1j * th[None, :])).ravel()
-        return np.concatenate(([0.0 + 0.0j], pts))
+        return mags, th
+
+    def stiff_grid(self, alpha: float | None = None) -> np.ndarray:
+        """Stiff test values -rho e^{i theta} with |theta| <= alpha, plus 0."""
+        return _ring_points(*self.rings(alpha))
+
+
+def _ring_points(mags: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """0, then -rho e^{i theta} over mags x th, magnitude by magnitude."""
+    pts = (-mags[:, None] * np.exp(1j * th[None, :])).ravel()
+    return np.concatenate(([0.0 + 0.0j], pts))
 
 
 # the optimizer's query, coarse so a 2000-evaluation budget takes minutes
@@ -189,6 +204,41 @@ def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
         Q[~ok] = _block_charpoly(E[~ok], W[~ok], U, V)
         Q[~ok, 0] = 0.0
     return Q
+
+
+def _ring_charpolys(m: ImexGlmMethod, w, mags: np.ndarray,
+                    th: np.ndarray) -> np.ndarray:
+    """_pair_charpolys(m, w, _ring_points(mags, th)) from s + 1 samples on
+    each ring |what| = rho of mags.
+
+    E and W are affine in what, so Q has degree <= s in what as well.  On
+    a ring it is a polynomial in u = what / rho, fixed by its values at
+    s + 1 points of the ring's arc u = -exp(i theta), |theta| <= max |th|
+    (th is symmetric): the Chebyshev angles max |th| cos(pi k / s).  The
+    grid's values are the samples' Lagrange sums, one (angles x samples)
+    matrix for every ring and line node, applied in one matmul; its rows
+    sum to at most 3.3 in magnitude on the built-in pairs (s <= 8).  On the
+    arc Re(what) <= 0, so the samples stay as far from the poles
+    what = 1 / ahat_ii (ahat_ii > 0) as the grid itself.  Samples on the
+    whole ring pass near them: at the (s + 1)th roots of -1, dimsim5's
+    coefficients at rho = 3.16 lose 2.5 digits against _pair_charpolys.
+
+    The leading coefficient det(E) = prod(1 - what ahat_ii) (A strictly
+    lower triangular) is set per point, bitwise as _pair_charpolys gives
+    it, so flat leading rows and singular points read as they do there."""
+    n = m.s + 1
+    u = -np.exp(1j * np.abs(th).max() * np.cos(np.pi * np.arange(n) / m.s))
+    others = ~np.eye(n, dtype=bool)
+    num = np.where(others, (-np.exp(1j * th))[:, None, None] - u, 1.0)
+    den = np.where(others, u[:, None] - u, 1.0)
+    interp = num.prod(axis=-1) / den.prod(axis=-1)
+    Q = _pair_charpolys(m, w, np.concatenate(([0.0], (mags[:, None] * u).ravel())))
+    ring = Q[..., 1:, :].reshape(Q.shape[:-2] + (mags.size, n, Q.shape[-1]))
+    out = np.concatenate([Q[..., :1, :], (interp @ ring).reshape(
+        Q.shape[:-2] + (-1, Q.shape[-1]))], axis=-2)
+    grid = _ring_points(mags, th)
+    out[..., 0] = (1.0 - grid[:, None] * np.diagonal(m.Ahat)).prod(axis=-1)
+    return out
 
 
 def max_rho_over_stiff_grid(m: ImexGlmMethod, w: complex,
@@ -313,6 +363,17 @@ _NODE_RADIUS = 2.0
 _HOT_POINTS = 16
 _SCREEN_MIN_COEFFS = 20000
 
+# A pair grid with at least _RING_MIN_ANGLES (s + 1) angles per magnitude
+# is set up per ring (_ring_charpolys): s + 1 samples per ring in place of
+# one per grid point, plus one small interpolation matmul.  Measured on one
+# core, the set-up breaks even at about 7 angles for dimsim4 and dimsim5 on
+# the default magnitudes (8 to 9 on the coarse query's three) and at about
+# 14 for ark4, whose r = 1 leaves little per point to save (over 17 on
+# three magnitudes).  Near 2 (s + 1) angles the rings take 0.5-0.9 of the
+# dimsim set-up time and 0.9-1.2 of ark4's; on the default query's 33
+# angles, 0.28 (dimsim4), 0.25 (dimsim5) and 0.82 (ark4).
+_RING_MIN_ANGLES = 2
+
 
 def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
                        component: str):
@@ -332,12 +393,18 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     against them and the Schur-Cohn test; a point whose leading
     coefficient det(E) is 0 is singular and counts as unstable.
 
+    The values Q(v_q) come per ring: on a pair grid with at least
+    _RING_MIN_ANGLES (s + 1) angles per magnitude, from s + 1 samples in
+    what on each ring (_ring_charpolys), otherwise from every grid point
+    (_pair_charpolys).
+
     A large batch is screened at the hot stiff points first (see
     _SCREEN_MIN_COEFFS).  counts tallies calls, points decided, singular
     points and the w that the screen alone decided outside.
     """
     if component == "pair":
-        grid = q.stiff_grid(alpha)
+        mags, th = q.rings(alpha)
+        grid = _ring_points(mags, th)
     elif component in ("explicit", "implicit"):
         grid = np.zeros(1, dtype=complex)
     else:
@@ -347,6 +414,8 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     v = np.concatenate(([0.0], nodes))
     if component == "implicit":
         Q = _pair_charpolys(m, 0.0, v)[:, None]
+    elif component == "pair" and th.size >= _RING_MIN_ANGLES * (s + 1):
+        Q = _ring_charpolys(m, v, mags, th)
     else:
         Q = _pair_charpolys(m, v, grid)
     # Q: (s + 1, P, r + 1); the line coefficients of degree 1..s from an FFT

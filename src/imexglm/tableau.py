@@ -71,10 +71,11 @@ class GlmTableau:
         return self.V.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImexGlmMethod:
     """IMEX pair: explicit (A, B) and implicit (Ahat, Bhat) parts over one
-    U, one V = e v^T and one c, plus starting weights.
+    U, one V = e v^T and one c, plus starting weights.  Pairs compare and
+    hash by identity, since their fields are arrays.
 
     V is built from v, so the parts cannot disagree on U, V or c; explicit
     and implicit are read-only GlmTableau views for code that takes one

@@ -263,6 +263,13 @@ class TestEmitStability:
         assert disk == report
         assert report["method"] == "imex-euler"
         assert report["convention"] == "total"
+        # the query that made the numbers, once, before them
+        assert list(report)[:3] == ["method", "convention", "query"]
+        assert report["query"] == {
+            "stiff_magnitudes": list(coarse_query.stiff_magnitudes),
+            "n_angles": coarse_query.n_angles, "alpha": coarse_query.alpha,
+            "tol": coarse_query.tol, "y_top": coarse_query.y_top,
+            "n_lines": coarse_query.n_lines}
         assert abs(report["explicit"]["area_total"] - math.pi) < 0.12
         assert report["implicit"].get("unbounded") is True
         assert len(report["pair"]) == 3

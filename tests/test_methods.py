@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from imexglm.integrator import StartingConfig
 from imexglm.methods import (bundled_ark_path, builtin_imex_euler,
                              load_ark_method, resolve_method)
 from imexglm.tableau import (ImexGlmMethod, MethodFileError, additive_rk_pair,
@@ -136,3 +137,14 @@ class TestResolveMethod:
     def test_unknown_name(self):
         with pytest.raises(MethodFileError, match="not a builtin"):
             resolve_method("dimsim7")
+
+    def test_pairs_compare_and_hash_by_identity(self):
+        # array fields have no truth value, so a pair (and a StartingConfig
+        # holding one) compares and hashes as the object it is
+        m = resolve_method("ark4")
+        assert m == m and m != resolve_method("ark4")
+        assert len({m, m, resolve_method("dimsim4")}) == 2
+        cfg = StartingConfig(scheme=m)
+        assert cfg == StartingConfig(scheme=m) and hash(cfg) == hash(
+            StartingConfig(scheme=m))
+        assert StartingConfig() != StartingConfig()

@@ -13,6 +13,7 @@ from imexglm.stability import (DEFAULT_STIFF_MAGNITUDES,
                                _block_charpoly, _charpoly, _leftmost_crossing,
                                _NODE_RADIUS, _pair_blocks,
                                _pair_charpolys, _pair_matrices_batch,
+                               _ring_charpolys, _ring_points,
                                _schur_cohn, _schur_cohn_stable,
                                _stability_decider, boundary_intersection,
                                check_irks,
@@ -399,9 +400,7 @@ class TestDecisionOracles:
         # puts both that far off, the triangular one closer.
         m = resolve_method(name)
         rng = np.random.default_rng(7)
-        nodes = _NODE_RADIUS * np.exp(
-            1j * np.pi * (2 * np.arange(m.s) + 1) / m.s)
-        v = np.concatenate(([0.0], nodes))
+        v = line_nodes(m)
         ws = np.concatenate([v, rng.uniform(-6.0, 0.5, 40)
                              + 1j * rng.uniform(0.0, 8.0, 40)])
         for q in (StabilityQuery(), coarse_query, rays_query(7.0, 193)):
@@ -542,6 +541,24 @@ class TestLockstepBisection:
         assert res.screened == 0
 
 
+def line_nodes(m):
+    """The line variable's interpolation nodes of _stability_decider: 0,
+    then s points on the circle of radius _NODE_RADIUS."""
+    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(m.s) + 1) / m.s)
+    return np.concatenate(([0.0], nodes))
+
+
+def line_coefficients(m, Q):
+    """_stability_decider's scaled coefficient matrix from the line
+    polynomials Q (s + 1 line nodes, P stiff points, r + 1)."""
+    s, nodes = m.s, line_nodes(m)[1:]
+    D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
+    D /= (s * nodes[0] ** np.arange(s))[:, None, None]
+    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
+    _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
+    return (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
+
+
 def unscreened_decider(m, q, alpha, component):
     """_stability_decider as it was before the screen: every batch against
     the whole stiff grid in one matmul and one Schur-Cohn test."""
@@ -550,17 +567,12 @@ def unscreened_decider(m, q, alpha, component):
     else:
         grid = np.zeros(1, dtype=complex)
     s, r, P = m.s, m.r, grid.size
-    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
-    v = np.concatenate(([0.0], nodes))
+    v = line_nodes(m)
     if component == "implicit":
         Q = _pair_charpolys(m, 0.0, v)[:, None]
     else:
         Q = _pair_charpolys(m, v, grid)
-    D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
-    D /= (s * nodes[0] ** np.arange(s))[:, None, None]
-    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
-    _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
-    C = (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
+    C = line_coefficients(m, Q)
     counts = {"decisions": 0, "matrices": 0, "singular": 0}
 
     def inside(ws) -> np.ndarray:
@@ -662,6 +674,234 @@ class TestScreenOracle:
             assert counts["screened"] == 0
         else:
             assert counts["screened"] > 0
+
+
+def per_point_decider(m, q, alpha, component):
+    """_stability_decider with the line polynomials of every stiff point
+    from _pair_charpolys, the set-up that the rings replace."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_ring_charpolys",
+                   lambda m, w, mags, th: _pair_charpolys(
+                       m, w, _ring_points(mags, th)))
+        return _stability_decider(m, q, alpha, component)
+
+
+def setup_sample_counts(m, q):
+    """The number of stiff values of every _pair_charpolys call made while
+    one pair decider is set up."""
+    sizes = []
+    real = stability._pair_charpolys
+
+    def spy(m, w, whats):
+        sizes.append(np.size(whats))
+        return real(m, w, whats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_pair_charpolys", spy)
+        _stability_decider(m, q, q.alpha, "pair")
+    return sizes
+
+
+def assert_replays_per_point(m, q, batches, res=None):
+    """Decide the batches in order on the ring set-up and on the per-point
+    one: the same booleans, and the same counts (those of the area run when
+    res is given).  Returns the stiff points whose own decision differs."""
+    inside, counts = _stability_decider(m, q, q.alpha, "pair")
+    oracle, want = per_point_decider(m, q, q.alpha, "pair")
+    s = m.s
+    C_ring = line_coefficients(m, _ring_charpolys(m, line_nodes(m),
+                                                  *q.rings()))
+    C_point = line_coefficients(m, _pair_charpolys(m, line_nodes(m),
+                                                   q.stiff_grid()))
+    differ = []
+    for ws in batches:
+        assert np.array_equal(inside(ws), oracle(ws))
+        vt = np.vander(ws, s + 1, increasing=True).T
+        a, b = ((C @ vt).reshape(m.r + 1, -1, ws.size)
+                for C in (C_ring, C_point))
+        differ += [(p, ws[l]) for p, l in np.argwhere(_schur_cohn(a)
+                                                      != _schur_cohn(b))]
+    # a stiff point may decide differently only at rho = 1 within rounding;
+    # the w then fails elsewhere (at what = 0 if w = 0), so only the
+    # screen's hot list, and with it the screened count, could move
+    grid = q.stiff_grid()
+    for p, w in differ:
+        M = _pair_matrices_batch(m, w, [grid[p]])[0]
+        assert abs(np.abs(np.linalg.eigvals(M)).max() - 1.0) <= 1e-12
+    keys = ("decisions", "matrices", "singular")
+    assert {k: counts[k] for k in keys} == {k: want[k] for k in keys}
+    if res is not None:
+        assert {k: getattr(res, k) for k in keys} == {k: want[k] for k in keys}
+    if not differ:
+        # the screen's hot list follows each point's failures, so it
+        # is the same list as long as every point decides the same
+        assert counts["screened"] == want["screened"]
+    return counts, want, differ
+
+
+def wide_query(top=8.0):
+    """33 angles, 25 log-spaced magnitudes from 1e-4 to 10^top."""
+    return StabilityQuery(stiff_magnitudes=(0.0,) + tuple(
+        np.logspace(-4.0, top, 25)))
+
+
+class TestRingOracle:
+    """Line polynomials interpolated per stiff-magnitude ring against the
+    per-point set-up they replace."""
+
+    @pytest.mark.parametrize("alpha", ["pi/2", "pi/3", "pi/4"])
+    @pytest.mark.parametrize("name", ["dimsim4", "dimsim5", "ark4"])
+    def test_default_query_batches_match_per_point(self, name, alpha):
+        m = resolve_method(name)
+        q = dataclasses.replace(StabilityQuery(), alpha={
+            "pi/2": math.pi / 2, "pi/3": math.pi / 3,
+            "pi/4": math.pi / 4}[alpha])
+        assert setup_sample_counts(m, q) == [1 + 7 * (m.s + 1)]
+        res, batches = recorded_batches(m, q)
+        counts, want, _ = assert_replays_per_point(m, q, batches, res)
+        assert counts == want and counts["screened"] == res.screened
+
+    @pytest.mark.parametrize("name", ["dimsim4", "dimsim5", "ark4"])
+    def test_wide_query_batches_match_per_point(self, name):
+        m = resolve_method(name)
+        q = wide_query()
+        assert setup_sample_counts(m, q) == [1 + 25 * (m.s + 1)]
+        res, batches = recorded_batches(m, q)
+        assert_replays_per_point(m, q, batches, res)
+
+    def test_wide_query_areas_are_bitwise_per_point(self):
+        for name in ("dimsim4", "dimsim5", "ark4", "ark5"):
+            m = resolve_method(name)
+            for top in (3.0, 5.0, 8.0):
+                q = wide_query(top)
+                res, b = constrained_region_area(m, q)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(stability, "_stability_decider",
+                               per_point_decider)
+                    want, b_want = constrained_region_area(m, q)
+                assert (res.area, res.x_b) == (want.area, want.x_b)
+                assert np.array_equal(b.ys, b_want.ys)
+
+    def test_singular_points_on_the_rings(self):
+        # what = -1 is a grid point of the ring rho = 1; the samples
+        # u_k = +-i stay off it.  Each of the 60 w meets it once
+        toy = singular_toy()
+        q = StabilityQuery()
+        assert setup_sample_counts(toy, q) == [1 + 7 * 2]
+        rng = np.random.default_rng(25)
+        batches = [rng.uniform(-2.0, 0.5, 60) + 1j * rng.uniform(0, 2, 60)
+                   for _ in range(3)]
+        counts, want, differ = assert_replays_per_point(toy, q, batches)
+        assert counts == want and differ == []
+        assert counts["singular"] == 180 and counts["decisions"] == 3
+        Q = _ring_charpolys(toy, line_nodes(toy), *q.rings())
+        singular = np.flatnonzero(Q[0, :, 0] == 0.0)
+        assert q.stiff_grid()[singular].tolist() == [-1.0]
+
+
+def mp_line_polynomials(mpmath, m, ws, whats):
+    """det [[E, -U], [-W, zI - V]] at every (w, what), as coefficients in z
+    highest first, in 50-digit arithmetic from the stored doubles: the
+    block determinant at the (r + 1)th roots of unity, then their inverse
+    DFT."""
+    s, r = m.s, m.r
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        zs = [mpmath.expjpi(mpmath.mpf(2 * k) / (r + 1)) for k in range(r + 1)]
+        out = np.empty((len(ws), len(whats), r + 1), dtype=complex)
+        for i, w in enumerate(ws):
+            for j, wh in enumerate(whats):
+                w_, wh_ = mp.mpc(complex(w)), mp.mpc(complex(wh))
+                dets = []
+                for z in zs:
+                    K = mp.matrix(s + r, s + r)
+                    for a in range(s):
+                        for b in range(s):
+                            K[a, b] = (int(a == b) - w_ * float(m.A[a, b])
+                                       - wh_ * float(m.Ahat[a, b]))
+                        for b in range(r):
+                            K[a, s + b] = -float(m.U[a, b])
+                    for a in range(r):
+                        for b in range(s):
+                            K[s + a, b] = -(w_ * float(m.B[a, b])
+                                            + wh_ * float(m.Bhat[a, b]))
+                        for b in range(r):
+                            K[s + a, s + b] = z * int(a == b) - float(m.V[a, b])
+                    dets.append(mp.det(K))
+                for k in range(r + 1):
+                    c = sum(d * z ** -k for d, z in zip(dets, zs)) / (r + 1)
+                    out[i, j, r - k] = complex(c)
+    return out
+
+
+class TestRingAccuracy:
+    @pytest.mark.parametrize("name, query", [("dimsim4", "default"),
+                                             ("dimsim5", "default"),
+                                             ("dimsim5", "wide")])
+    def test_coefficients_against_50_digits(self, name, query):
+        # every coefficient of Q at all s + 1 line nodes, measured against
+        # each reference polynomial's largest coefficient.  default: points
+        # on the rings rho = 1e-3, 1, 10 and 1000 (the poles 1 / ahat_ii of
+        # both pairs lie between 1 and 10).  wide: the ring rho = 10^0.5
+        # next to dimsim5's pole 3.60, where samples on the whole ring cost
+        # 2.5 digits (3.5e-9).  Measured, rings against per point: dimsim4
+        # 1.45e-11 and 1.02e-11, dimsim5 2.86e-11 for both (default) and
+        # 9.74e-12 for both (wide)
+        mpmath = pytest.importorskip("mpmath")
+        m = resolve_method(name)
+        if query == "default":
+            q = StabilityQuery()
+            spots = ((0, 16), (3, 0), (3, 16), (4, 8), (4, 32), (6, 24))
+        else:
+            q = wide_query()
+            spots = tuple((9, angle) for angle in (0, 8, 16, 24, 32))
+        points = [1 + 33 * ring + angle for ring, angle in spots]
+        whats = q.stiff_grid()[points]
+        v = line_nodes(m)
+        ref = mp_line_polynomials(mpmath, m, v, whats)
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        ring = _ring_charpolys(m, v, *q.rings())[:, points]
+        point = _pair_charpolys(m, v, whats)
+        err_ring = (np.abs(ring - ref) / scale).max()
+        err_point = (np.abs(point - ref) / scale).max()
+        assert err_ring <= 2.0 * err_point
+        assert err_ring < 1e-10
+
+
+class TestRingPathChoice:
+    def test_small_rings_stay_per_point(self, dimsim4, dimsim5,
+                                        coarse_query):
+        # 9 angles on the optimizer's coarse query and the 2 boundary rays
+        # are fewer than 2(s + 1): every grid point is set up on its own
+        for m in (dimsim4, dimsim5, resolve_method("ark4")):
+            assert setup_sample_counts(m, coarse_query) == [1 + 3 * 9]
+            assert setup_sample_counts(m, rays_query(7.0, 193)) == [
+                1 + 193 * 2]
+            assert setup_sample_counts(m, StabilityQuery()) == [
+                1 + 7 * (m.s + 1)]
+
+    @pytest.mark.parametrize("name", ["dimsim4", "dimsim5", "ark4"])
+    def test_areas_across_the_threshold(self, name):
+        # 2(s + 1) - 1 angles set up per point, 2(s + 1) and 2(s + 1) + 1
+        # on the rings; each area is the one the other set-up gives
+        m = resolve_method(name)
+        n = 2 * (m.s + 1)
+        for n_angles in (n - 1, n, n + 1):
+            q = StabilityQuery(n_angles=n_angles)
+            on_rings = n_angles >= n
+            assert setup_sample_counts(m, q) == [
+                1 + 7 * (m.s + 1 if on_rings else n_angles)]
+            res, b = constrained_region_area(m, q)
+            with pytest.MonkeyPatch.context() as mp:
+                if on_rings:
+                    mp.setattr(stability, "_stability_decider",
+                               per_point_decider)
+                else:
+                    mp.setattr(stability, "_RING_MIN_ANGLES", 0)
+                other, b_other = constrained_region_area(m, q)
+            assert (res.area, res.decisions, res.matrices) == (
+                other.area, other.decisions, other.matrices)
+            assert np.array_equal(b.ys, b_other.ys)
 
 
 def serial_crossing(inside, tol, x_cap):
