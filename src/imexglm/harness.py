@@ -168,7 +168,8 @@ def run_convergence(spec: StudySpec, reference_cache=None) -> list:
             try:
                 _, err = _scored_run(m, prob, N, start_cfg, ref)
                 order = None
-                if prev is not None:
+                if prev is not None and prev[1] > 0 and err > 0:
+                    # an exact run (error 0) has no order, as in _lsq_slope
                     N0, e0 = prev
                     order = float(np.log(e0 / err) / np.log(N / N0))
                 rows.append(ConvergenceRow(N, h, err, order))

@@ -32,7 +32,10 @@ method class.  Each stage evaluates the forcing b once, into the shifted
 right-hand side R_i + gamma*b of its solve (R_i is the row product above),
 and takes its stiff value from that solve, G_i = (Y_i - R_i) / gamma, so
 an implicit stage forms no product with J; G_i = J Y_i + b is formed only
-at gamma = 0 stages.  J may be a dense numpy array, a scipy.sparse matrix,
+at gamma = 0 stages.  integrate hands the problem's prepare_times hook,
+if it has one, the stage times of each block of PREPARE_STEPS steps before
+stepping through it; the hook is a hint only, and a time it was not given
+is evaluated alone.  J may be a dense numpy array, a scipy.sparse matrix,
 or an operator with @ and tocsc() (problems.KroneckerSum, the PDE
 benchmarks' Laplacian).  The solver comes from the problem's stiff_solver
 factory when it has one (the fast-diagonalization Laplacian solve of both
@@ -82,6 +85,13 @@ class SemiDiscreteProblem:
     given, maps gamma to a solve of (I - gamma*J) y = r and stands in for
     factoring that matrix.  A nonlinear g is given as g and g_jacobian(t, y)
     instead.
+
+    prepare_times(times), if given, is a hint: integrate and the RK4
+    reference call it block by block (prepare_stage_times) with the exact
+    stage times of their next steps, so that a problem can evaluate its
+    time-dependent data for all of them in one pass.  f, g and
+    stiff_forcing must still accept any time, a time not prepared being
+    evaluated alone, and their results must not depend on the hint.
     """
 
     name: str
@@ -97,6 +107,7 @@ class SemiDiscreteProblem:
     stiff_solver: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None
     exact: Callable[[float], np.ndarray] | None = None
     stiff_scale: float | None = None  # rough spectral bound of the full RHS
+    prepare_times: Callable[[list], None] | None = None
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -426,7 +437,8 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
     for j in range(r - 1):
         ys.append(ark_step(start.scheme, prob, ys[-1], t0 + j * tau, tau,
                            cfg, cache))
-    # f and g at one node in turn, so they share the problem's time memo
+    # f and g at one node in turn, so they share the problem's evaluation
+    # of that time
     Fs, Gs = np.empty((2, r, prob.d))
     for j in range(r):
         Fs[j] = prob.f(t0 + j * tau, ys[j])
@@ -442,6 +454,26 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
 
 # ---------------------------------------------------------------------------
 # the whole-interval driver
+
+# steps per prepare_times block: it keeps an Allen-Cahn n = 40 table under
+# 1 MB, and blocks of 16 and 64 steps time the same
+PREPARE_STEPS = 32
+
+
+def prepare_stage_times(prob: SemiDiscreteProblem, k: int, n_steps: int,
+                        t: float, h: float, offsets) -> None:
+    """At every PREPARE_STEPS-th step k of n_steps, starting at time t, hand
+    prob.prepare_times (if any) the stage times t + dt, dt in offsets, of
+    the block of steps from k, on the steppers' own clock t <- t + h, so
+    that each time is the float a stage will ask for."""
+    if prob.prepare_times is None or k % PREPARE_STEPS:
+        return
+    times = []
+    for _ in range(min(PREPARE_STEPS, n_steps - k)):
+        times.extend([t + dt for dt in offsets])
+        t = t + h
+    prob.prepare_times(times)
+
 
 @dataclass
 class IntegrationResult:
@@ -486,8 +518,10 @@ def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
         except (StageSolveError, IntegrationError) as exc:
             raise IntegrationError(f"starting procedure failed: {exc}") from exc
     t_step = time.perf_counter()
+    offsets = cache.stage_rows(m, h).dt
     traj = []
     for n in range(n_steps):
+        prepare_stage_times(prob, n, n_steps, state.t, h, offsets)
         try:
             state = glm_step(m, prob, state, cfg, cache)
         except (StageSolveError, IntegrationError) as exc:

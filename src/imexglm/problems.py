@@ -25,16 +25,26 @@ interior, and one scatter (Grid2D.scatter_ring) adds it into the interior
 layout, for the Laplacian forcing and for Burgers' convective closure
 alike.  Burgers evaluates its ring in one vectorized call (Grid2D.ring).
 Allen-Cahn's solution u = 2 + sin 2pi(x-t) cos 3pi(y-t) is a product of
-one-axis factors, so its ring and its manufactured source come from one
-evaluation per time of four trig lines on the grid axes
-(_allen_cahn_stage_data): the ring is 2 + S[i] P[j], bit for bit
-Grid2D.ring(u, t), and the source is a rank-5 matmul.  Each time-dependent
-field (Burgers' ring and scattered closure, Allen-Cahn's ring and source)
-sits behind a one-slot memo keyed on the exact time, so the forcing and f
-of one stage share an evaluation, as do a step's last stage (c_s = 1) and
-the next step's first (c_1 = 0).  The Laplacian forcing is scattered
-afresh on each call: the problem hands it out writable, and a copy of a
-memoized one would cost as much as the scatter.
+one-axis factors, so its ring and its manufactured source come from four
+trig lines on the grid axes (_allen_cahn_stage_data): the ring is
+2 + S[i] P[j], bit for bit Grid2D.ring(u, t), and the source is a rank-5
+matmul L^T R.
+
+Each PDE's time-dependent data (Burgers' ring; Allen-Cahn's ring and the
+L, R factors of its source) comes from one function of an array of times,
+and sits in a table keyed on exact times (_TimeTable).  The problem's
+prepare_times hook fills the table with a block of times in one vectorized
+call: integrate and reference_solution hand it the stage times of their
+next steps, so stiff_forcing(t) and f(t, .) of every stage, and a step's
+last stage (c_s = 1) and the next step's first (c_1 = 0), share one
+evaluation.  A time outside the table (the starter's micro-steps, a direct
+call) is evaluated alone through the same function, as a one-element
+array, so the hook changes speed and never a result.  The table holds one
+block: at most about 0.7 MB at n = 40 (161 times for ark4).  Burgers'
+convective closure is scattered once per stage time, on f's first request
+of it.  The Laplacian forcing is scattered afresh on each call: the
+problem hands it out writable, and a copy of a shared one would cost as
+much as the scatter.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrator import SemiDiscreteProblem, StageSolveError
+from .integrator import SemiDiscreteProblem, StageSolveError, prepare_stage_times
 
 
 class ReferenceFailureError(RuntimeError):
@@ -96,10 +106,10 @@ class Grid2D:
             out = np.broadcast_to(out, shape)  # read-only, but ravel copies it
         return out.ravel()
 
-    def ring(self, fn, t: float) -> np.ndarray:
+    def ring(self, fn, t) -> np.ndarray:
         """fn(t, x, y) in one call over the 4(n-1) boundary nodes that
         neighbor the interior: the sides x=0, x=1, y=0, y=1 in turn, each
-        ordered along coords."""
+        ordered along coords.  A column of times t gives one row per time."""
         return np.asarray(fn(t, self.ring_x, self.ring_y), dtype=float)
 
     def scatter_ring(self, ring, scale: float) -> np.ndarray:
@@ -218,22 +228,46 @@ def shifted_laplacian_solver(grid: Grid2D, coef: float):
     return factory
 
 
-def _memo_on_time(field_at):
-    """One-slot memo of t -> field_at(t), matched on exact equality of t.
-    field_at returns an array or a tuple of arrays; each cached array is
-    made read-only, since every caller shares it."""
-    last_t, last = None, None
+class _TimeTable:
+    """Time-dependent fields at a block of exact times.
 
-    def cached(t):
-        nonlocal last_t, last
-        if last is None or t != last_t:
-            last = field_at(t)
-            for a in last if isinstance(last, tuple) else (last,):
-                a.flags.writeable = False
-            last_t = t
-        return last
+    evaluate(times) maps a 1D array of times to a tuple of arrays with one
+    row per time.  prepare(times) makes the table hold exactly those times
+    (one block): the rows it already holds are kept, copied off the old
+    block so that it can be freed, and the others come from one evaluate
+    call.  table(t) returns the tuple of rows at t; a time the table does
+    not hold is prepared alone, as a one-element array, so a miss costs an
+    evaluation and never changes a result.  The rows are read-only, since
+    every caller shares them.
+    """
 
-    return cached
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.rows = {}
+
+    def prepare(self, times):
+        held, rows, new = self.rows, {}, []
+        for t in dict.fromkeys(times):
+            if t in held:
+                rows[t] = tuple(map(_read_only, map(np.copy, held[t])))
+            else:
+                new.append(t)
+        if new:
+            fields = tuple(map(_read_only, self.evaluate(np.array(new, dtype=float))))
+            rows.update(zip(new, zip(*fields)))
+        self.rows = rows
+
+    def __call__(self, t):
+        row = self.rows.get(t)
+        if row is None:
+            self.prepare((t,))
+            row = self.rows[t]
+        return row
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -271,8 +305,9 @@ def _allen_cahn_fields(alpha: float, beta: float):
 
 
 def _allen_cahn_stage_data(grid: Grid2D, alpha: float, beta: float):
-    """t -> (ring, source): the boundary ring of u and the interior source
-    of _allen_cahn_fields, from one-axis factors evaluated once per t.
+    """times -> (rings, L, R): the boundary ring of u and the factors of the
+    interior source of _allen_cahn_fields at each time of a 1D array, from
+    one-axis factors, one row per time.
 
     With S = sin 2pi(x-t) and P = cos 3pi(y-t) on the n+1 axis nodes, the
     ring is 2 + S[i] P[j] at each ring node's axis indices, bit for bit
@@ -281,35 +316,37 @@ def _allen_cahn_stage_data(grid: Grid2D, alpha: float, beta: float):
     for X = S (x) P, and a power of an outer product is the outer product
     of the powers, so the source is the rank-5 product L^T R with
     L = [6b, (11b + 13pi^2 a)S - 2pi C, 6b S^2, b S^3, 3pi S] and
-    R = [1, P, P^2, P^3, Q]: one (n-1) x 5 by 5 x (n-1) matmul.
+    R = [1, P, P^2, P^3, Q]: one (n-1) x 5 by 5 x (n-1) matmul per time.
+    Each entry is computed as for one time alone, so a row does not depend
+    on the other times of the array.
     """
     x, ring_i, ring_j = grid.axis, grid.ring_i, grid.ring_j
     m = grid.n - 1
-    L, R = np.empty((5, m)), np.empty((5, m))  # rows refilled on every call
-    L[0], R[0] = 6.0 * beta, 1.0
     sp = 11.0 * beta + 13.0 * np.pi ** 2 * alpha
 
-    def at(t):
-        d = x - t
+    def at(times):
+        d = x - times[:, None]
         ax, ay = 2 * np.pi * d, 3 * np.pi * d
         S, P = np.sin(ax), np.cos(ay)
-        ring = S[ring_i]
-        ring *= P[ring_j]
-        ring += 2.0
-        S, P = S[1:-1], P[1:-1]
-        C, Q = np.cos(ax[1:-1]), np.sin(ay[1:-1])
-        np.multiply(S, sp, out=L[1])
-        L[1] -= 2 * np.pi * C
-        np.multiply(S, S, out=L[2])
-        np.multiply(L[2], beta, out=L[3])
-        L[3] *= S
-        L[2] *= 6.0 * beta
-        np.multiply(S, 3 * np.pi, out=L[4])
-        R[1] = P
-        np.multiply(P, P, out=R[2])
-        np.multiply(R[2], P, out=R[3])
-        R[4] = Q
-        return ring, (L.T @ R).ravel()
+        rings = S[:, ring_i]
+        rings *= P[:, ring_j]
+        rings += 2.0
+        S, P = S[:, 1:-1], P[:, 1:-1]
+        C, Q = np.cos(ax[:, 1:-1]), np.sin(ay[:, 1:-1])
+        L, R = np.empty((2, len(times), 5, m))
+        L[:, 0], R[:, 0] = 6.0 * beta, 1.0
+        np.multiply(S, sp, out=L[:, 1])
+        L[:, 1] -= 2 * np.pi * C
+        np.multiply(S, S, out=L[:, 2])
+        np.multiply(L[:, 2], beta, out=L[:, 3])
+        L[:, 3] *= S
+        L[:, 2] *= 6.0 * beta
+        np.multiply(S, 3 * np.pi, out=L[:, 4])
+        R[:, 1] = P
+        np.multiply(P, P, out=R[:, 2])
+        np.multiply(R[:, 2], P, out=R[:, 3])
+        R[:, 4] = Q
+        return rings, L, R
 
     return at
 
@@ -328,11 +365,12 @@ def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
                          t_final: float = 0.5) -> PdeBenchmark:
     grid = Grid2D(n)
     u, _ = _allen_cahn_fields(alpha, beta)
-    data_at = _memo_on_time(_allen_cahn_stage_data(grid, alpha, beta))
+    data_at = _TimeTable(_allen_cahn_stage_data(grid, alpha, beta))
     forcing_scale = alpha / grid.dx ** 2
 
     def f(t, v):
-        return beta * (v - v * v * v) + data_at(t)[1]
+        _, L, R = data_at(t)
+        return beta * (v - v * v * v) + (L.T @ R).ravel()
 
     prob = SemiDiscreteProblem(
         name=f"allen-cahn-n{n}", d=grid.m, t0=0.0, tF=t_final,
@@ -340,6 +378,7 @@ def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
         stiff_matrix=alpha * five_point_laplacian(grid),
         stiff_solver=shifted_laplacian_solver(grid, alpha),
         stiff_forcing=lambda t: grid.scatter_ring(data_at(t)[0], forcing_scale),
+        prepare_times=data_at.prepare,
         exact=lambda t: grid.evaluate(u, t),
         stiff_scale=alpha * 8.0 * n ** 2)
     return PdeBenchmark(name=prob.name, grid=grid,
@@ -368,24 +407,29 @@ def burgers_benchmark(n: int = 50, nu: float = 0.1,
     # f = -div(u^2)/2: the -1/2 is folded into the operator and the closure
     # scale, which changes no bits since it is a power of two
     div = -0.5 * central_divergence(grid)
-    ring_at = _memo_on_time(lambda t: grid.ring(u, t))
+    rings = _TimeTable(lambda times: (grid.ring(u, times[:, None]),))
     forcing_scale = nu / grid.dx ** 2
     # central-difference closure of the divergence of the flux w = u^2: its
-    # ring values enter with - on the sides x=0, y=0 and + on x=1, y=1
+    # ring values enter with - on the sides x=0, y=0 and + on x=1, y=1; it
+    # is scattered on f's first call at a time and kept until the next one
     flux_signs = np.repeat([-1.0, 1.0, -1.0, 1.0], n - 1)
     flux_scale = -0.5 / (2.0 * grid.dx)
-    closure_at = _memo_on_time(
-        lambda t: grid.scatter_ring(flux_signs * ring_at(t) ** 2, flux_scale))
+    closure = {}
 
     def f(t, v):
-        return div @ (v * v) + closure_at(t)
+        if t not in closure:
+            closure.clear()
+            (ring,) = rings(t)
+            closure[t] = grid.scatter_ring(flux_signs * ring ** 2, flux_scale)
+        return div @ (v * v) + closure[t]
 
     prob = SemiDiscreteProblem(
         name=f"burgers-n{n}", d=grid.m, t0=0.0, tF=t_final,
         y0=grid.evaluate(u, 0.0), f=f,
         stiff_matrix=nu * five_point_laplacian(grid),
         stiff_solver=shifted_laplacian_solver(grid, nu),
-        stiff_forcing=lambda t: grid.scatter_ring(ring_at(t), forcing_scale),
+        stiff_forcing=lambda t: grid.scatter_ring(rings(t)[0], forcing_scale),
+        prepare_times=rings.prepare,
         exact=lambda t: grid.evaluate(u, t),
         stiff_scale=nu * 8.0 * n ** 2)
     return PdeBenchmark(name=prob.name, grid=grid,
@@ -479,7 +523,9 @@ def reference_solution(prob: SemiDiscreteProblem, n_ref: int) -> np.ndarray:
     y = prob.y0.copy()
     t = prob.t0
     check_every = max(1, n_ref // 64)
+    offsets = (0.0, 0.5 * h, h)          # _rk4_step's stage times from t
     for k in range(n_ref):
+        prepare_stage_times(prob, k, n_ref, t, h, offsets)
         y = _rk4_step(prob.rhs, t, y, h)
         t = t + h                        # k4's time, so the next k1 reuses it
         if k % check_every == 0 and not (np.isfinite(y).all()

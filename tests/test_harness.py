@@ -117,6 +117,19 @@ class TestConvergence:
             assert row.h == pytest.approx((1.0 - 0.0) / row.N)
         assert 3.5 < study.slope < 4.6
 
+    def test_exact_runs_have_no_order(self):
+        # y' = 0: ark4 is exact, so its errors are 0 and no pair of its rows
+        # gives an order; dimsim4's start leaves rounding-level errors
+        spec = dahlquist_spec(problem_params={"xi": 0.0, "xihat": 0.0},
+                              methods=("dimsim4", "ark4"), steps=(10, 20, 40))
+        dimsim4, ark4 = run_convergence(spec)
+        assert all(0.0 < r.error < 1e-12 for r in dimsim4.rows)
+        assert [r.error for r in ark4.rows] == [0.0] * 3
+        assert [r.pairwise_order for r in ark4.rows] == [None] * 3
+        assert ark4.slope is None
+        assert list(ark4.csv_lines())[1:] == [
+            f"{r.N},{r.h:.17g},0," for r in ark4.rows]
+
     def test_csv_lines_are_deterministic(self):
         spec = dahlquist_spec()
         a = list(run_convergence(spec)[0].csv_lines())

@@ -334,15 +334,22 @@ class TestAllenCahnSource:
     @pytest.mark.parametrize("alpha, beta", [(0.01, 3.0), (1.0, 3.0), (0.1, 0.5)])
     @pytest.mark.parametrize("n", [4, 5, 10, 40])
     def test_factored_stage_data_matches_pointwise_fields(self, n, alpha, beta):
-        # the problem's ring and source come from one-axis factors; the
-        # pointwise fields of _allen_cahn_fields are the oracle
+        # the problem's ring and source come from one-axis factors, evaluated
+        # for an array of times; the pointwise fields of _allen_cahn_fields
+        # are the oracle, and a time's row is the same evaluated alone
         bench = allen_cahn_benchmark(n=n, alpha=alpha, beta=beta)
         grid, prob = bench.grid, bench.problem
         u, source = _allen_cahn_fields(alpha, beta)
         stage_data = problems._allen_cahn_stage_data(grid, alpha, beta)
-        for t in (0.0, 0.137, 0.5):
+        ts = np.array([0.0, 0.137, 0.5])
+        rings, L, R = stage_data(ts)
+        for k, t in enumerate(ts):
             ring = grid.ring(u, t)
-            assert np.array_equal(stage_data(t)[0], ring)
+            assert np.array_equal(rings[k], ring)
+            alone = stage_data(ts[k:k + 1])
+            for block, one in zip((rings, L, R), alone):
+                assert np.array_equal(block[k], one[0])
+            assert relative((L[k].T @ R[k]).ravel(), grid.evaluate(source, t)) <= 1e-13
             want = grid.scatter_ring(ring, alpha / grid.dx ** 2)
             assert np.array_equal(prob.stiff_forcing(t), want)
             # f(t, 0) is the source alone
@@ -361,7 +368,7 @@ def recorder(fn, log, t_arg):
 
 
 def record_stage_data(monkeypatch, log):
-    """Log (t, (ring, source)) per Allen-Cahn stage-data evaluation."""
+    """Log (times, (rings, L, R)) per Allen-Cahn stage-data evaluation."""
     stage_data = problems._allen_cahn_stage_data
     monkeypatch.setattr(
         problems, "_allen_cahn_stage_data",
@@ -392,17 +399,27 @@ class TestTimeMemo:
         ac.stiff_forcing(0.1)
         ac.f(0.1, ac.y0)
         bu.f(0.1, bu.y0)
-        # Allen-Cahn's ring and source come from one evaluation, Burgers'
-        # ring from Grid2D.ring
+        # Allen-Cahn's ring and source factors come from one evaluation,
+        # Burgers' ring from Grid2D.ring, each of the one time 0.1
         assert len(rings) == 1 and len(stage_data) == 1
-        shared = [out for _, out in rings] + list(stage_data[0][1])
-        assert len(shared) == 3
+        assert [list(np.ravel(t)) for t, _ in rings + stage_data] == [[0.1]] * 2
+        ac.prepare_times([0.2, 0.3])
+        bu.prepare_times([0.2, 0.3])
+        assert len(rings) == 2 and len(stage_data) == 2
+        shared = [out for _, out in rings] + [a for _, out in stage_data for a in out]
+        assert len(shared) == 8
+        for prob in (ac, bu):
+            table = prob.prepare_times.__self__
+            shared += [a for row in table.rows.values() for a in row]
+        assert len(shared) == 8 + 2 * 3 + 2
         for out in shared:
             with pytest.raises(ValueError):
-                out[0] = 1.0
+                out.flat[0] = 1.0
         # the problem's own outputs stay writable
-        for out in (ac.f(0.1, ac.y0), ac.stiff_forcing(0.1), bu.f(0.1, bu.y0)):
-            out[0] = 1.0
+        for t in (0.1, 0.2):
+            for out in (ac.f(t, ac.y0), ac.stiff_forcing(t), bu.f(t, bu.y0),
+                        bu.stiff_forcing(t)):
+                out[0] = 1.0
 
     def test_burgers_closure_scattered_once_per_stage_time(self, monkeypatch):
         scales = []
@@ -437,7 +454,8 @@ class TestTimeMemo:
     def test_one_evaluation_per_distinct_stage_time(self, make, monkeypatch):
         # Burgers evaluates its ring through Grid2D.ring; Allen-Cahn its ring
         # and source together, in _allen_cahn_stage_data, and never the ring
-        # through Grid2D.ring
+        # through Grid2D.ring.  Each evaluation takes an array of times: a
+        # block of prepared stage times, or one time alone.
         rings, stage_data = [], []
         monkeypatch.setattr(Grid2D, "ring", recorder(Grid2D.ring, rings, 2))
         record_stage_data(monkeypatch, stage_data)
@@ -453,7 +471,7 @@ class TestTimeMemo:
         monkeypatch.setattr(integrator, "initialize_external", marked_start)
 
         def times(log, skip=0):
-            return [t for t, _ in log[skip:]]
+            return [t for ts, _ in log[skip:] for t in np.ravel(ts).tolist()]
 
         N = 20
         dimsim4 = resolve_method("dimsim4")
@@ -498,7 +516,9 @@ class TestTimeMemo:
         evaluations.clear()
         reference_solution(prob, n_ref)
         assert times(evaluations) == list(dict.fromkeys(stage_times))
-        assert len(evaluations) == 2 * n_ref + 1
+        assert len(times(evaluations)) == 2 * n_ref + 1
+        # one evaluation per block of steps
+        assert len(evaluations) == -(-n_ref // integrator.PREPARE_STEPS)
         if make is allen_cahn_benchmark:
             assert rings == []
 
@@ -527,6 +547,89 @@ class TestTimeMemo:
         for k in g_at:
             assert calls[k - 1][:2] == ("f", calls[k][1])
             assert calls[k][2] == 0
+
+
+def watch_table(prob, monkeypatch):
+    """Log the times of each evaluation of prob's time table as (times,
+    inside_hook, inside_starter): whether the problem's prepare_times hook
+    asked for it, and whether it came during the starting procedure."""
+    table = prob.prepare_times.__self__
+    log, inside = [], {"hook": False, "starter": False}
+    evaluate = table.evaluate
+
+    def logged(times):
+        log.append((times.tolist(), inside["hook"], inside["starter"]))
+        return evaluate(times)
+
+    def flagged(fn, flag):
+        def run(*args, **kwargs):
+            inside[flag] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[flag] = False
+
+        return run
+
+    table.evaluate = logged
+    prob.prepare_times = flagged(table.prepare, "hook")
+    monkeypatch.setattr(integrator, "initialize_external",
+                        flagged(integrator.initialize_external, "starter"))
+    return log
+
+
+class TestTimeTable:
+    @pytest.mark.parametrize("N", [20, 70])
+    @pytest.mark.parametrize("method", ["dimsim4", "dimsim5", "ark4"])
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_prepared_run_matches_unprepared(self, make, method, N):
+        # without the hook every time is evaluated alone; N = 70 crosses
+        # two block boundaries (dimsim5 on Allen-Cahn needs h <= 0.02)
+        m = resolve_method(method)
+        prepared = integrate(m, make(n=10, t_final=0.25).problem, N)
+        prob = make(n=10, t_final=0.25).problem
+        prob.prepare_times = None
+        alone = integrate(m, prob, N)
+        assert np.array_equal(prepared.y, alone.y)
+        assert np.array_equal(prepared.state.blocks, alone.state.blocks)
+
+    @pytest.mark.parametrize("method", ["dimsim4", "dimsim5", "ark4"])
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_every_stage_time_hits_the_table(self, make, method, monkeypatch):
+        m = resolve_method(method)
+        prob = make(n=10).problem
+        log = watch_table(prob, monkeypatch)
+        N = 70
+        integrate(m, prob, N)
+        # outside the starter every evaluation is a block the hook asked for
+        blocks = [times for times, hook, starter in log if not starter]
+        assert all(hook for _, hook, starter in log if not starter)
+        assert len(blocks) == -(-N // integrator.PREPARE_STEPS)
+        # the starter's micro-step times miss, one at a time, and only for a GLM
+        misses = [times for times, _, starter in log if starter]
+        assert all(len(times) == 1 for times in misses)
+        assert (misses == []) == m.is_additive_rk
+
+    @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
+    def test_reference_hits_the_table(self, make, monkeypatch):
+        prob = make(n=10, t_final=0.5).problem
+        log = watch_table(prob, monkeypatch)
+        reference_solution(prob, 200)
+        assert [hook for _, hook, _ in log] == [True] * 7
+
+    def test_table_holds_one_block_after_a_long_reference(self):
+        prob = burgers_benchmark(n=10).problem
+        table = prob.prepare_times.__self__
+        reference_solution(prob, 20000)
+        block = 2 * integrator.PREPARE_STEPS + 1      # t, t + h/2 per step, and t + h
+        assert 0 < len(table.rows) <= block
+        # the rows' memory: one block's arrays and the rows copied into it
+        arrays = {}
+        for row in table.rows.values():
+            for a in row:
+                base = a if a.base is None else a.base
+                arrays[id(base)] = base.nbytes
+        assert sum(arrays.values()) <= block * 4 * (10 - 1) * 8
 
 
 class TestShiftedLaplacianSolver:
