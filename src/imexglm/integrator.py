@@ -34,8 +34,9 @@ and takes its stiff value from that solve, G_i = (Y_i - R_i) / gamma, so
 an implicit stage forms no product with J; G_i = J Y_i + b is formed only
 at gamma = 0 stages.  integrate hands the problem's prepare_times hook,
 if it has one, the stage times of each block of PREPARE_STEPS steps before
-stepping through it; the hook is a hint only, and a time it was not given
-is evaluated alone.  J may be a dense numpy array, a scipy.sparse matrix,
+stepping through it, and the starting procedure hands it all its times in
+one block; the hook is a hint only, and a time it was not given is
+evaluated alone.  J may be a dense numpy array, a scipy.sparse matrix,
 or an operator with @ and tocsc() (problems.KroneckerSum, the PDE
 benchmarks' Laplacian).  The solver comes from the problem's stiff_solver
 factory when it has one (the fast-diagonalization Laplacian solve of both
@@ -88,8 +89,9 @@ class SemiDiscreteProblem:
 
     prepare_times(times), if given, is a hint: integrate and the RK4
     reference call it block by block (prepare_stage_times) with the exact
-    stage times of their next steps, so that a problem can evaluate its
-    time-dependent data for all of them in one pass.  f, g and
+    stage times of their next steps, and initialize_external once with the
+    starter's, so that a problem can evaluate its time-dependent data for
+    all of them in one pass.  f, g and
     stiff_forcing must still accept any time, a time not prepared being
     evaluated alone, and their results must not depend on the hint.
     """
@@ -433,6 +435,12 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
         raise ValueError(f"starting micro-step tau={tau} outside (0, h]")
 
     t0, y0 = prob.t0, prob.y0
+    if prob.prepare_times is not None:
+        # the nodes t0 + j tau and the micro-steps' stage times, as glm_step
+        # forms them, in one block
+        nodes = [t0 + j * tau for j in range(r)]
+        offsets = cache.stage_rows(start.scheme, tau).dt
+        prob.prepare_times(nodes + [t + dt for t in nodes[:-1] for dt in offsets])
     ys = [y0]
     for j in range(r - 1):
         ys.append(ark_step(start.scheme, prob, ys[-1], t0 + j * tau, tau,

@@ -35,16 +35,17 @@ L, R factors of its source) comes from one function of an array of times,
 and sits in a table keyed on exact times (_TimeTable).  The problem's
 prepare_times hook fills the table with a block of times in one vectorized
 call: integrate and reference_solution hand it the stage times of their
-next steps, so stiff_forcing(t) and f(t, .) of every stage, and a step's
-last stage (c_s = 1) and the next step's first (c_1 = 0), share one
-evaluation.  A time outside the table (the starter's micro-steps, a direct
-call) is evaluated alone through the same function, as a one-element
-array, so the hook changes speed and never a result.  The table holds one
-block: at most about 0.7 MB at n = 40 (161 times for ark4).  Burgers'
-convective closure is scattered once per stage time, on f's first request
-of it.  The Laplacian forcing is scattered afresh on each call: the
-problem hands it out writable, and a copy of a shared one would cost as
-much as the scatter.
+next steps, and the starter all of its times, so stiff_forcing(t) and
+f(t, .) of every stage, and a step's last stage (c_s = 1) and the next
+step's first (c_1 = 0), share one evaluation.  A time outside the table (a
+direct call) is evaluated alone through the same function, as a
+one-element array, so the hook changes speed and never a result.  The
+table holds one block: at most about 0.7 MB at n = 40 (161 times for
+ark4).  Allen-Cahn's source L^T R and Burgers' convective closure are
+formed once per stage time, on f's first request of it, and kept until f
+asks for another time.  The Laplacian forcing is scattered afresh on each
+call: the problem hands it out writable, and a copy of a shared one would
+cost as much as the scatter.
 """
 
 from __future__ import annotations
@@ -368,9 +369,16 @@ def allen_cahn_benchmark(n: int = 40, alpha: float = 0.01, beta: float = 3.0,
     data_at = _TimeTable(_allen_cahn_stage_data(grid, alpha, beta))
     forcing_scale = alpha / grid.dx ** 2
 
+    # the source at the last time f was called at: a step's last stage
+    # (c_s = 1) and the next step's first (c_1 = 0) share it
+    source = {}
+
     def f(t, v):
-        _, L, R = data_at(t)
-        return beta * (v - v * v * v) + (L.T @ R).ravel()
+        if t not in source:
+            source.clear()
+            _, L, R = data_at(t)
+            source[t] = (L.T @ R).ravel()
+        return beta * (v - v * v * v) + source[t]
 
     prob = SemiDiscreteProblem(
         name=f"allen-cahn-n{n}", d=grid.m, t0=0.0, tF=t_final,

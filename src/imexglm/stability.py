@@ -15,7 +15,8 @@ areas by the trapezoidal rule, doubled by conjugation symmetry.
 Every search runs in batched decisions, each over points x stiff points.
 The leftmost real-axis crossing decides all its seeds and doublings at
 once, then bisects several levels per decision; all lines are bisected in
-lockstep, one decision per level.  rho(M) < 1 is decided without
+lockstep, one decision per level over compact arrays of the lines still
+open.  rho(M) < 1 is decided without
 eigenvalues or per-point linear solves.  For a fixed stiff point,
 
     Q(z; v) = det(E) det(zI - M) = det [[E, -U], [-W, zI - V]],
@@ -45,12 +46,17 @@ that failed most often in the decider's earlier full tests, and only the
 survivors are tested on the whole grid.  The counts are those of the
 unscreened test, plus the number of w the screen alone put outside.
 
+optimize_explicit_component scores each distinct candidate once: a
+candidate met again (each Nelder-Mead polish starts at a point already
+scored) reuses its area and counts, but still counts against the budget.
+
 All of this is numpy alone; only optimize_explicit_component imports
 scipy.optimize, on its first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -75,7 +81,10 @@ class SingularStabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class StabilityQuery:
-    """Grid and bisection parameters for constrained-region computations."""
+    """Grid and bisection parameters for constrained-region computations.
+
+    A query is hashable, so its layout (rings, stiff_grid) is computed once
+    per sector half-angle and shared, as read-only arrays."""
 
     stiff_magnitudes: tuple = DEFAULT_STIFF_MAGNITUDES
     n_angles: int = 33
@@ -85,8 +94,13 @@ class StabilityQuery:
     n_lines: int = 30
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("bisection tolerance must be positive")
+        object.__setattr__(self, "stiff_magnitudes", tuple(self.stiff_magnitudes))
+        # a NaN or non-positive tol or y_top traces an empty region, and an
+        # infinite one a bisection that never closes
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("bisection tolerance must be positive and finite")
+        if not (math.isfinite(self.y_top) and self.y_top > 0):
+            raise ValueError("y_top must be positive and finite")
         if 0.0 not in self.stiff_magnitudes:
             raise ValueError("stiff magnitude grid must contain 0")
         if self.n_angles < 1 or self.n_lines < 2:
@@ -97,16 +111,30 @@ class StabilityQuery:
 
     def rings(self, alpha: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The stiff grid's layout: its nonzero magnitudes rho and its
-        angles theta with |theta| <= alpha."""
-        alpha = self.alpha if alpha is None else alpha
-        th = self.angles()
-        th = th[np.abs(th) <= alpha + 1e-12]
-        mags = np.array([m for m in self.stiff_magnitudes if m > 0.0])
-        return mags, th
+        angles theta with |theta| <= alpha, for alpha in [0, pi/2]."""
+        return _layout(self, self.alpha if alpha is None else alpha)[:2]
 
     def stiff_grid(self, alpha: float | None = None) -> np.ndarray:
         """Stiff test values -rho e^{i theta} with |theta| <= alpha, plus 0."""
-        return _ring_points(*self.rings(alpha))
+        return _layout(self, self.alpha if alpha is None else alpha)[2]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(q: StabilityQuery, alpha: float):
+    """(mags, th, grid) of q.rings and q.stiff_grid, read-only.  An alpha
+    outside [0, pi/2] (with 1e-12 slack) would leave only what = 0 on the
+    grid, or be taken as pi/2, so it is refused."""
+    if not -1e-12 <= alpha <= math.pi / 2 + 1e-12:
+        raise ValueError(f"sector half-angle alpha={alpha!r} outside [0, pi/2]")
+    th = q.angles()
+    th = th[np.abs(th) <= alpha + 1e-12]
+    mags = np.array([m for m in q.stiff_magnitudes if m > 0.0])
+    return tuple(map(_read_only, (mags, th, _ring_points(mags, th))))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _ring_points(mags: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -375,6 +403,16 @@ _SCREEN_MIN_COEFFS = 20000
 _RING_MIN_ANGLES = 2
 
 
+@functools.cache
+def _line_nodes(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The line variable's interpolation nodes of _stability_decider, 0 and
+    then R exp(i pi (2q + 1) / s), q < s, and the FFT's scale s v_1^k,
+    k < s, shaped to divide its (s, P, r + 1) output; read-only."""
+    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
+    scale = (s * nodes[0] ** np.arange(s))[:, None, None]
+    return _read_only(np.concatenate(([0.0], nodes))), _read_only(scale)
+
+
 def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
                        component: str):
     """Batched membership test for the coupled region or a pure component.
@@ -403,15 +441,13 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     points and the w that the screen alone decided outside.
     """
     if component == "pair":
-        mags, th = q.rings(alpha)
-        grid = _ring_points(mags, th)
+        mags, th, grid = _layout(q, alpha)
     elif component in ("explicit", "implicit"):
         grid = np.zeros(1, dtype=complex)
     else:
         raise ValueError(f"unknown region component {component!r}")
     s, r, P = m.s, m.r, grid.size
-    nodes = _NODE_RADIUS * np.exp(1j * np.pi * (2 * np.arange(s) + 1) / s)
-    v = np.concatenate(([0.0], nodes))
+    v, scale = _line_nodes(s)
     if component == "implicit":
         Q = _pair_charpolys(m, 0.0, v)[:, None]
     elif component == "pair" and th.size >= _RING_MIN_ANGLES * (s + 1):
@@ -419,8 +455,8 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     else:
         Q = _pair_charpolys(m, v, grid)
     # Q: (s + 1, P, r + 1); the line coefficients of degree 1..s from an FFT
-    D = np.fft.fft((Q[1:] - Q[0]) / nodes[:, None, None], axis=0)
-    D /= (s * nodes[0] ** np.arange(s))[:, None, None]
+    D = np.fft.fft((Q[1:] - Q[0]) / v[1:, None, None], axis=0)
+    D /= scale
     # coefficient-major layout: row j * P + p holds z^(r - j) at point p
     C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
     # a power of two per stiff point brings its largest coefficient into
@@ -431,8 +467,8 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     counts = {"decisions": 0, "matrices": 0, "singular": 0, "screened": 0}
     # det(E) does not depend on w when A is strictly lower triangular, so on
     # the pair and explicit components every leading row is (det E, 0, ...,
-    # 0) and reads det E exactly at any finite w; the screen counts singular
-    # points from that without evaluating them
+    # 0) and reads det E exactly at any finite w; singular points are then
+    # counted from those rows, screened or not, without evaluating them
     flat = not C[:P, 1:].any()
     n_singular = int(np.count_nonzero(C[:P, 0] == 0.0))
     # the screen's state: failures per stiff point in the full tests so far,
@@ -442,21 +478,22 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
 
     def inside(ws) -> np.ndarray:
         ws = np.asarray(ws, dtype=complex).ravel()
+        L = ws.size
         vt = np.vander(ws, s + 1, increasing=True).T
-        if flat and ws.size * C.shape[0] >= _SCREEN_MIN_COEFFS:
-            return screened(vt)
-        a = (C @ vt).reshape(r + 1, P, -1)
         counts["decisions"] += 1
-        counts["matrices"] += ws.size * P
-        counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
+        counts["matrices"] += L * P
+        if flat:
+            counts["singular"] += n_singular * L
+            if L * C.shape[0] >= _SCREEN_MIN_COEFFS:
+                return screened(vt)
+        a = (C @ vt).reshape(r + 1, P, -1)
+        if not flat:
+            counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
         return _schur_cohn(a).all(axis=0)
 
     def screened(vt) -> np.ndarray:
         nonlocal hot_rows
         L = vt.shape[1]
-        counts["decisions"] += 1
-        counts["matrices"] += L * P
-        counts["singular"] += n_singular * L
         ok = np.ones(L, dtype=bool)
         if hot_rows.size:
             ok = _schur_cohn((hot_rows @ vt).reshape(r + 1, -1, L)).all(axis=0)
@@ -476,19 +513,29 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
 
 def _bisect_lines(inside, xs: np.ndarray, q: StabilityQuery):
     """boundary_intersection for every x of xs, one decision per level
-    over the lines still active.  Returns (y_bot, x inside) per line."""
+    over the lines still active.  Returns (y_bot, x inside) per line.
+
+    The active lines' x and brackets are kept as compact arrays in
+    ascending line order; a line's y_bot is written back when its bracket
+    closes."""
     start = inside(xs.astype(complex))
-    bot = np.zeros_like(xs)
-    top = np.full_like(xs, q.y_top)
-    active = start & (top - bot > q.tol)
-    while active.any():
-        idx = np.flatnonzero(active)
-        mid = 0.5 * (bot[idx] + top[idx])
-        ok = inside(xs[idx] + 1j * mid)
-        bot[idx[ok]] = mid[ok]
-        top[idx[~ok]] = mid[~ok]
-        active[idx] = top[idx] - bot[idx] > q.tol
-    return bot, start
+    ys = np.zeros_like(xs)
+    if not q.y_top > q.tol:
+        return ys, start
+    idx = np.flatnonzero(start)
+    x = xs[idx]
+    bot = np.zeros_like(x)
+    top = np.full_like(x, q.y_top)
+    while idx.size:
+        mid = 0.5 * (bot + top)
+        ok = inside(x + 1j * mid)
+        bot = np.where(ok, mid, bot)
+        top = np.where(ok, top, mid)
+        live = top - bot > q.tol
+        if not live.all():
+            ys[idx[~live]] = bot[~live]
+            idx, x, bot, top = idx[live], x[live], bot[live], top[live]
+    return ys, start
 
 
 class Intersection(NamedTuple):
@@ -801,10 +848,10 @@ class OptimizeExplicitResult:
     best_area_trace: list = field(default_factory=list)  # best area after each evaluation
 
 
-def _explicit_from_params(params: np.ndarray, s: int) -> np.ndarray:
-    A = np.zeros((s, s))
-    A[np.tril_indices(s, k=-1)] = params
-    return A
+def _candidate_key(params: np.ndarray) -> bytes:
+    """The key under which optimize_explicit_component keeps a scored
+    candidate: its parameters' exact bits."""
+    return params.tobytes()
 
 
 def optimize_explicit_component(implicit: GlmTableau, c, v,
@@ -820,6 +867,12 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     candidates; every candidate's B block is rebuilt from the order
     conditions.  The seed (when given) is evaluated first and the result
     never falls below it.  Deterministic for a fixed rng_seed.
+
+    A candidate met again (each polish starts its simplex at a start-pool
+    point already scored) is scored once: the repeat reuses its area and
+    counts, but still counts against the budget, adds its counts to the
+    totals again and appends to best_area_trace, so the result is the one
+    re-scoring would give.
     """
     from scipy.optimize import differential_evolution, minimize
     q = q or StabilityQuery()
@@ -828,13 +881,19 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     v = np.asarray(v, dtype=float)
     s = c.size
     n_free = s * (s - 1) // 2
+    lower = np.tril_indices(s, k=-1)
 
     b_of = dimsim_b_relation(c, v)
     U = np.eye(s)
     Qhat = starting_weight_matrix(implicit.A, c, s)
 
+    def explicit_A(params: np.ndarray) -> np.ndarray:
+        A = np.zeros((s, s))
+        A[lower] = params
+        return A
+
     def build(params: np.ndarray) -> ImexGlmMethod:
-        A = _explicit_from_params(params, s)
+        A = explicit_A(params)
         return ImexGlmMethod(
             name="optimized-explicit", c=c, U=U, v=v,
             A=A, B=b_of(A), Ahat=implicit.A, Bhat=implicit.B,
@@ -845,18 +904,26 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     state = {"n": 0, "best_area": -1.0, "best_params": None}
     counts = {"decisions": 0, "matrices": 0, "singular": 0, "screened": 0}
     trace = []
+    scored = {}     # candidate key -> (area, its AreaResult counts)
+
+    def score(params: np.ndarray):
+        try:
+            res, _ = constrained_region_area(build(params), q, alpha)
+        except (np.linalg.LinAlgError, SingularStabilityError):
+            return 0.0, {}
+        return (0.0 if res.flagged_empty else res.area,
+                {key: getattr(res, key) for key in counts})
 
     def area_of(params: np.ndarray) -> float:
         if state["n"] >= budget:
             return 0.0
         state["n"] += 1
-        try:
-            res, _ = constrained_region_area(build(params), q, alpha)
-            a = 0.0 if res.flagged_empty else res.area
-            for key in counts:
-                counts[key] += getattr(res, key)
-        except (np.linalg.LinAlgError, SingularStabilityError):
-            a = 0.0
+        key = _candidate_key(params)
+        if key not in scored:
+            scored[key] = score(params)
+        a, got = scored[key]
+        for k, n in got.items():
+            counts[k] += n
         if a > state["best_area"]:
             state["best_area"] = a
             state["best_params"] = np.array(params, dtype=float)
@@ -866,7 +933,7 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     seed_area = None
     start_pool = []
     if seed_matrix is not None:
-        seed_params = np.asarray(seed_matrix, dtype=float)[np.tril_indices(s, k=-1)]
+        seed_params = np.asarray(seed_matrix, dtype=float)[lower]
         seed_area = area_of(seed_params)
         start_pool.append((seed_area, seed_params))
 
@@ -921,13 +988,13 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         params = (seed_params if seed_matrix is not None
                   else np.zeros(n_free))
         return OptimizeExplicitResult(
-            method=build(params), A=_explicit_from_params(params, s),
+            method=build(params), A=explicit_A(params),
             area=0.0, seed_area=seed_area, n_evaluations=state["n"],
             failed=True, best_area_trace=trace, **counts,
         )
     best = state["best_params"]
     return OptimizeExplicitResult(
-        method=build(best), A=_explicit_from_params(best, s),
+        method=build(best), A=explicit_A(best),
         area=state["best_area"], seed_area=seed_area,
         n_evaluations=state["n"], failed=False,
         best_area_trace=trace, **counts,

@@ -55,6 +55,19 @@ class GlmTableau:
     def __post_init__(self):
         for name in ("A", "U", "B", "V", "c"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+        self._check_shapes()
+
+    @classmethod
+    def _over(cls, A, U, B, V, c) -> GlmTableau:
+        """A tableau over read-only blocks that no other caller holds
+        (ImexGlmMethod's own copies), taken as they are."""
+        t = object.__new__(cls)
+        for name, a in zip(("A", "U", "B", "V", "c"), (A, U, B, V, c)):
+            object.__setattr__(t, name, a)
+        t._check_shapes()
+        return t
+
+    def _check_shapes(self):
         s, r = self.A.shape[0], self.V.shape[0]
         if self.A.shape != (s, s) or self.U.shape != (s, r) \
                 or self.V.shape != (r, r):
@@ -103,11 +116,12 @@ class ImexGlmMethod:
         for name in ("c", "U", "v", "A", "B", "Ahat", "Bhat", "Q", "Qhat"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         V = np.outer(np.ones(self.v.size), self.v)
-        # the views check the block shapes
+        V.setflags(write=False)
+        # the views share the pair's read-only blocks and check their shapes
         object.__setattr__(self, "explicit",
-                           GlmTableau(A=self.A, U=self.U, B=self.B, V=V, c=self.c))
+                           GlmTableau._over(self.A, self.U, self.B, V, self.c))
         object.__setattr__(self, "implicit",
-                           GlmTableau(A=self.Ahat, U=self.U, B=self.Bhat, V=V, c=self.c))
+                           GlmTableau._over(self.Ahat, self.U, self.Bhat, V, self.c))
         # the stepper and the stability code read only the lower triangles
         if np.triu(self.A).any():
             raise ValueError(f"{self.name}: explicit A must be strictly lower triangular")

@@ -450,6 +450,41 @@ class TestTimeMemo:
         # the forcing is still scattered on every g call
         assert len(scales) > closures()
 
+    def test_allen_cahn_source_formed_once_per_time(self, monkeypatch):
+        # f looks up the source factors L, R, and forms L^T R, only when it
+        # is called at a time other than its last one; stiff_forcing's
+        # lookups of the ring are not counted
+        in_f, lookups = [False], []
+        lookup = problems._TimeTable.__call__
+
+        def logged(table, t):
+            if in_f[0]:
+                lookups.append(t)
+            return lookup(table, t)
+
+        monkeypatch.setattr(problems._TimeTable, "__call__", logged)
+        prob = allen_cahn_benchmark(n=10, t_final=0.5).problem
+        f, f_times = prob.f, []
+
+        def flagged(t, y):
+            f_times.append(t)
+            in_f[0] = True
+            try:
+                return f(t, y)
+            finally:
+                in_f[0] = False
+
+        prob.f = flagged
+        m, N = resolve_method("dimsim4"), 20
+        integrate(m, prob, N)
+        new_time = [k == 0 or t != f_times[k - 1] for k, t in enumerate(f_times)]
+        assert lookups == [t for t, new in zip(f_times, new_time) if new]
+        # stepping: each step's last stage (c_s = 1) shares the next step's
+        # first (c_1 = 0), so one product per distinct stage time
+        stepping = f_times[-N * m.s:]
+        assert len(set(stepping)) == N * (m.s - 1) + 1
+        assert sum(new_time[-N * m.s:]) == len(set(stepping))
+
     @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
     def test_one_evaluation_per_distinct_stage_time(self, make, monkeypatch):
         # Burgers evaluates its ring through Grid2D.ring; Allen-Cahn its ring
@@ -486,7 +521,12 @@ class TestTimeMemo:
         assert len(distinct) == N * (dimsim4.s - 1) + 1
         evaluations.clear()
         integrate(dimsim4, prob, N)
-        assert times(evaluations, stepping_from[0]) == distinct
+        # the starter evaluates its times in one block, and the steps then
+        # evaluate only the times it does not hold (t0, and t0 + h = 2 tau)
+        assert stepping_from == [1]
+        starter = starter_times(dimsim4, prob, h)
+        assert times(evaluations) == list(dict.fromkeys(starter + distinct))
+        assert set(distinct) - set(times(evaluations, 1)) == {0.0, h}
 
         ark4 = resolve_method("ark4")
         N = 50
@@ -549,6 +589,16 @@ class TestTimeMemo:
             assert calls[k][2] == 0
 
 
+def starter_times(m, prob, h):
+    """The times initialize_external evaluates with the default starter, in
+    its float arithmetic: the nodes t0 + j tau, j < r, then each micro-step's
+    stage times (t0 + j tau) + c_i tau, j < r - 1, as glm_step forms them."""
+    start = StartingConfig()
+    tau = start.tau_ratio * h
+    nodes = [prob.t0 + j * tau for j in range(m.r)]
+    return nodes + [t + float(c) * tau for t in nodes[:-1] for c in start.scheme.c]
+
+
 def watch_table(prob, monkeypatch):
     """Log the times of each evaluation of prob's time table as (times,
     inside_hook, inside_starter): whether the problem's prepare_times hook
@@ -605,10 +655,15 @@ class TestTimeTable:
         blocks = [times for times, hook, starter in log if not starter]
         assert all(hook for _, hook, starter in log if not starter)
         assert len(blocks) == -(-N // integrator.PREPARE_STEPS)
-        # the starter's micro-step times miss, one at a time, and only for a GLM
-        misses = [times for times, _, starter in log if starter]
-        assert all(len(times) == 1 for times in misses)
-        assert (misses == []) == m.is_additive_rk
+        # a GLM's starter makes one evaluation, asked for by the hook, of
+        # exactly its distinct times; an additive RK pair has no starter
+        starts = [(times, hook) for times, hook, starter in log if starter]
+        if m.is_additive_rk:
+            assert starts == []
+        else:
+            h = (prob.tF - prob.t0) / N
+            want = list(dict.fromkeys(starter_times(m, prob, h)))
+            assert starts == [(want, True)]
 
     @pytest.mark.parametrize("make", [allen_cahn_benchmark, burgers_benchmark])
     def test_reference_hits_the_table(self, make, monkeypatch):

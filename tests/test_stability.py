@@ -123,6 +123,46 @@ class TestStiffGridMax:
             StabilityQuery(stiff_magnitudes=(1.0, 10.0))
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize("field", ["tol", "y_top"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_and_y_top_positive_and_finite(self, field, value):
+        # y_top = 0 or a NaN tol used to trace an empty region, no error
+        with pytest.raises(ValueError, match="positive and finite"):
+            StabilityQuery(**{field: value})
+
+    @pytest.mark.parametrize("alpha", [-0.1, 2.0, math.pi / 2 + 1e-9,
+                                       math.nan])
+    def test_alpha_outside_the_quarter_turn(self, dimsim4, alpha):
+        # alpha < 0 left only what = 0 on the grid; alpha > pi/2 was taken
+        # as pi/2
+        q = StabilityQuery()
+        for call in (lambda: q.rings(alpha), lambda: q.stiff_grid(alpha),
+                     lambda: StabilityQuery(alpha=alpha).rings(),
+                     lambda: max_rho_over_stiff_grid(dimsim4, -0.5, q, alpha),
+                     lambda: constrained_region_area(dimsim4, q, alpha=alpha)):
+            with pytest.raises(ValueError, match="outside"):
+                call()
+
+    def test_alpha_slack_at_the_ends(self):
+        q = StabilityQuery(n_angles=5)
+        assert q.rings(math.pi / 2 + 1e-13)[1].size == 5
+        assert q.rings(-1e-13)[1].tolist() == [0.0]
+
+    def test_layout_is_shared_and_read_only(self, coarse_query):
+        same = dataclasses.replace(coarse_query)
+        assert same is not coarse_query
+        assert same.stiff_grid() is coarse_query.stiff_grid()
+        assert coarse_query.rings(math.pi / 3)[1].size == 5
+        for a in (*coarse_query.rings(), coarse_query.stiff_grid()):
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        # a list of magnitudes is held as a tuple, so the query hashes
+        q = StabilityQuery(stiff_magnitudes=[0.0, 1.0])
+        assert q == StabilityQuery(stiff_magnitudes=(0.0, 1.0))
+        assert q.stiff_grid().size == 1 + 33
+
+
 class TestBoundary:
     def test_euler_disk_ordinates(self, euler_glm, coarse_query):
         # region is the unit disk centered at -1: y(x) = sqrt(1 - (1+x)^2)
@@ -266,11 +306,7 @@ class TestLinePolynomial:
                            rtol=1e-14)
         # with two stages the interpolated z^2 coefficient carries rounding;
         # it must still read as an exact 0 to be tallied
-        toy2 = imex_dimsim("singular-toy-2", np.array([0.0, 1.0]),
-                           np.zeros((2, 2)),
-                           np.array([[-1.0, 0.0], [0.5, -1.0]]),
-                           np.array([0.5, 0.5]))
-        inside, counts = _stability_decider(toy2, coarse_query,
+        inside, counts = _stability_decider(two_stage_singular_toy(), coarse_query,
                                             coarse_query.alpha, "pair")
         assert not inside(w).any()
         assert counts["singular"] == 2
@@ -676,6 +712,94 @@ class TestScreenOracle:
             assert counts["screened"] > 0
 
 
+def two_stage_singular_toy():
+    """Two stages with Ahat = [[-1, 0], [0.5, -1]]: E is singular at
+    what = -1, and the rows of Q carry rounding in their z^2 terms."""
+    return imex_dimsim("singular-toy-2", np.array([0.0, 1.0]),
+                       np.zeros((2, 2)),
+                       np.array([[-1.0, 0.0], [0.5, -1.0]]),
+                       np.array([0.5, 0.5]))
+
+
+class TestSingularCountRule:
+    @pytest.mark.parametrize("query", ["coarse", "default"])
+    def test_flat_rows_count_as_the_products_did(self, query, coarse_query):
+        # the pair component's leading rows are flat, so singular points are
+        # counted from them on both paths.  On the coarse query every batch
+        # is unscreened; on the default one the 60-w batches are screened
+        # (at least 60 x 232 x 2 coefficients) and the others are not.  The
+        # oracle counts the exact zeros of every product's leading row
+        q = {"default": StabilityQuery(), "coarse": coarse_query}[query]
+        rng = np.random.default_rng(29)
+        batches = [rng.uniform(-2.0, 0.5, n) + 1j * rng.uniform(0.0, 2.0, n)
+                   for n in (1, 13, 60, 13)]
+        for m in (singular_toy(), two_stage_singular_toy()):
+            counts = assert_replays_unscreened(m, q, "pair", batches)
+            # what = -1 is one grid point, met once per w
+            assert counts["singular"] == 87
+
+
+def scattering_bisect_lines(inside, xs, q):
+    """_bisect_lines as it was before the compact arrays: full-length bot,
+    top and active arrays, gathered and scattered at every level."""
+    start = inside(xs.astype(complex))
+    bot = np.zeros_like(xs)
+    top = np.full_like(xs, q.y_top)
+    active = start & (top - bot > q.tol)
+    while active.any():
+        idx = np.flatnonzero(active)
+        mid = 0.5 * (bot[idx] + top[idx])
+        ok = inside(xs[idx] + 1j * mid)
+        bot[idx[ok]] = mid[ok]
+        top[idx[~ok]] = mid[~ok]
+        active[idx] = top[idx] - bot[idx] > q.tol
+    return bot, start
+
+
+def traced_area(m, q, bisect):
+    """constrained_region_area with bisect as its line bisection: the
+    bytes of every batch decided, in order, each bisect call's (ordinates,
+    start flags), the AreaResult and the boundary."""
+    batches, lines = [], []
+    decider = stability._stability_decider
+
+    def recording(*args):
+        inside, counts = decider(*args)
+
+        def record(ws):
+            batches.append(np.asarray(ws, dtype=complex).ravel().tobytes())
+            return inside(ws)
+        return record, counts
+
+    def logged(*args):
+        ys, start = bisect(*args)
+        lines.append((ys.tobytes(), start.tolist()))
+        return ys, start
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_stability_decider", recording)
+        mp.setattr(stability, "_bisect_lines", logged)
+        res, b = constrained_region_area(m, q)
+    return batches, lines, res, b
+
+
+class TestCompactBisection:
+    @pytest.mark.parametrize("query", ["default", "coarse", "rays"])
+    def test_batches_match_scattering_bisection(self, query, coarse_query):
+        q = {"default": StabilityQuery(), "coarse": coarse_query,
+             "rays": dataclasses.replace(rays_query(7.0, 193), n_lines=120,
+                                         tol=1e-4)}[query]
+        for name in ("dimsim4", "dimsim5", "ark4"):
+            m = resolve_method(name)
+            batches, lines, res, b = traced_area(m, q, stability._bisect_lines)
+            want = traced_area(m, q, scattering_bisect_lines)
+            assert batches == want[0]
+            assert lines == want[1] and len(lines) == 1
+            assert dataclasses.asdict(res) == dataclasses.asdict(want[2])
+            assert b.ys.tobytes() == want[3].ys.tobytes()
+            assert len(batches) == res.decisions
+
+
 def per_point_decider(m, q, alpha, component):
     """_stability_decider with the line polynomials of every stiff point
     from _pair_charpolys, the set-up that the rings replace."""
@@ -1063,6 +1187,66 @@ class TestIrksReport:
     def test_empirical_R_tends_to_zero_at_stiff_infinity(self, dimsim4):
         rep = check_irks(dimsim4.implicit, samples=[-1e6 + 0.0j])
         assert abs(rep.samples[0].R_empirical) < 1e-3
+
+
+def optimizer_record(out):
+    """Everything an OptimizeExplicitResult reports, bitwise."""
+    m = out.method
+    return ((out.A.tobytes(), out.area, out.seed_area, out.n_evaluations,
+             out.failed, out.decisions, out.matrices, out.singular,
+             out.screened, out.best_area_trace)
+            + tuple(getattr(m, k).tobytes() for k in ("A", "B", "Q", "Qhat")))
+
+
+def spied_optimizer(dimsim4, q, rng_seed, budget=100):
+    """optimize_explicit_component seeded at dimsim4's A, and the bytes of
+    the strictly lower A of every pair whose area it computed."""
+    scored, real = [], stability.constrained_region_area
+
+    def spy(m, *args, **kwargs):
+        scored.append(m.A[np.tril_indices(m.s, k=-1)].tobytes())
+        return real(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "constrained_region_area", spy)
+        out = optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=q, budget=budget,
+            seed_matrix=np.asarray(dimsim4.A), rng_seed=rng_seed)
+    return out, scored
+
+
+class TestRepeatMemo:
+    """A candidate met again is scored once, and the result is the one
+    re-scoring gives."""
+
+    def test_recorded_run_scores_each_candidate_once(self, dimsim4,
+                                                     coarse_query):
+        # each of the 3 Nelder-Mead polishes starts at a start-pool point
+        # already scored: 93 evaluations of 90 distinct candidates
+        rec = PARENT["optimizer"]
+        out, scored = spied_optimizer(dimsim4, coarse_query, rec["rng_seed"],
+                                      rec["budget"])
+        assert len(scored) == len(set(scored)) == 90
+        assert out.n_evaluations == rec["n_evaluations"] == 93
+        assert out.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
+        assert (out.area, out.seed_area, out.decisions, out.matrices,
+                out.singular) == (rec["area"], rec["seed_area"],
+                                  rec["decisions"], rec["matrices"],
+                                  rec["singular"])
+        assert len(out.best_area_trace) == 93
+
+    @pytest.mark.parametrize("rng_seed", [0, 1, 2])
+    def test_matches_a_run_without_the_memo(self, dimsim4, coarse_query,
+                                            rng_seed, monkeypatch):
+        out, scored = spied_optimizer(dimsim4, coarse_query, rng_seed)
+        # a key that never repeats defeats the memo: every evaluation is
+        # scored
+        monkeypatch.setattr(stability, "_candidate_key", lambda p: object())
+        again, rescored = spied_optimizer(dimsim4, coarse_query, rng_seed)
+        assert len(rescored) == again.n_evaluations == out.n_evaluations
+        assert len(scored) == len(set(scored)) < len(rescored)
+        assert set(scored) == set(rescored)
+        assert optimizer_record(out) == optimizer_record(again)
 
 
 class TestOptimizer:
