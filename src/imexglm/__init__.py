@@ -30,7 +30,6 @@ from .integrator import (
     IntegrationError,
     IntegrationResult,
     SemiDiscreteProblem,
-    StageSolveConfig,
     StageSolveError,
     StartingConfig,
     ark_step,

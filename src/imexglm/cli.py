@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate-method, integrate, converge, work-precision,
-stability, optimize-explicit.  Exit codes: 0 success, 1 validation
-failure, 2 runtime failure, 64 usage error.
+stability, optimize-explicit; converge and work-precision share one
+command body, _cmd_study.  Exit codes: 0 success, 1 validation failure,
+2 runtime failure, 64 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .harness import (StudySpec, build_problem, emit_stability,
                       run_convergence, run_workprecision, starter_config,
-                      write_study_csv, _fmt)
+                      write_study_csv)
 from .integrator import IntegrationError, integrate
 from .methods import resolve_method
 from .problems import ReferenceFailureError, l2_error, reference_solution
@@ -147,7 +148,17 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _print_convergence(studies, fmt, out):
+# a study's JSON row keys, the same for converge and work-precision
+_JSON_ROW_KEYS = ("N", "h", "error", "pairwise_order", "seconds",
+                  "start_seconds", "failure")
+
+
+def _cmd_study(args) -> int:
+    """converge and work-precision: per method, a header with the
+    least-squares slope and the study's CSV on stdout, and the studies
+    written to --out as CSV or JSON."""
+    run = run_workprecision if args.command == "work-precision" else run_convergence
+    studies = run(_study_spec(args))
     payload = []
     for st in studies:
         print(f"# {st.method} on {st.problem}  "
@@ -157,38 +168,8 @@ def _print_convergence(studies, fmt, out):
             print(line)
         payload.append({
             "method": st.method, "problem": st.problem, "slope": st.slope,
-            "rows": [{"N": r.N, "h": r.h, "error": r.error,
-                      "pairwise_order": r.pairwise_order,
-                      "failure": r.failure} for r in st.rows]})
-    if out and fmt == "json":
-        Path(out).write_text(json.dumps(payload, indent=2, default=float) + "\n")
-    elif out:
-        write_study_csv(studies, out)
-
-
-def _cmd_converge(args) -> int:
-    spec = _study_spec(args)
-    studies = run_convergence(spec)
-    _print_convergence(studies, args.format, args.out)
-    return 0
-
-
-def _cmd_workprecision(args) -> int:
-    spec = _study_spec(args)
-    studies = run_workprecision(spec)
-    payload = []
-    for st in studies:
-        print(f"# {st.method} on {st.problem}")
-        for line in st.csv_lines():
-            print(line)
-        for r in st.rows:
-            if r.start_seconds is not None:
-                print(f"# starter N={r.N}: {r.start_seconds:.6f}s")
-        payload.append({
-            "method": st.method, "problem": st.problem,
-            "rows": [{"N": r.N, "h": r.h, "seconds": r.seconds,
-                      "error": r.error, "start_seconds": r.start_seconds,
-                      "failure": r.failure} for r in st.rows]})
+            "rows": [{k: getattr(r, k) for k in _JSON_ROW_KEYS}
+                     for r in st.rows]})
     if args.out and args.format == "json":
         Path(args.out).write_text(json.dumps(payload, indent=2, default=float) + "\n")
     elif args.out:
@@ -239,8 +220,8 @@ def _cmd_optimize(args) -> int:
 _COMMANDS = {
     "validate-method": _cmd_validate,
     "integrate": _cmd_integrate,
-    "converge": _cmd_converge,
-    "work-precision": _cmd_workprecision,
+    "converge": _cmd_study,
+    "work-precision": _cmd_study,
     "stability": _cmd_stability,
     "optimize-explicit": _cmd_optimize,
 }

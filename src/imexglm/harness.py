@@ -1,5 +1,6 @@
-"""Study orchestration: convergence tables, work-precision tables with
-phase-separated timing, and stability-region file export.
+"""Study orchestration: convergence and work-precision studies, made by
+one study loop, and stability-region file export.  The work-precision
+study is the convergence study with each run repeated and timed.
 
 All study output is deterministic for a fixed spec (timing columns
 aside): rows are emitted in spec order and floats are printed
@@ -56,6 +57,8 @@ class StudySpec:
             raise ValueError("step counts must be strictly increasing")
         if not 0.0 < self.tau_ratio <= 1.0:
             raise ValueError("tau_ratio must lie in (0, 1]")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
 
 
 def build_problem(spec: StudySpec):
@@ -93,10 +96,16 @@ def starter_config(spec: StudySpec, m: ImexGlmMethod) -> StartingConfig:
 
 @dataclass
 class ConvergenceRow:
+    """One (method, N) run; seconds and start_seconds are the minimum
+    stepping and starter times over its repeats."""
+
     N: int
     h: float
     error: float | None
     pairwise_order: float | None
+    seconds: float | None = None
+    start_seconds: float | None = None
+    repeat_seconds: tuple = ()
     failure: str | None = None
 
 
@@ -106,13 +115,15 @@ class ConvergenceStudy:
     problem: str
     rows: list
     slope: float | None
+    timed: bool = False            # a work-precision study: CSV with seconds
 
     def csv_lines(self):
-        yield "N,h,error,pairwise_order"
+        cols = (("N", "h", "seconds", "error") if self.timed
+                else ("N", "h", "error", "pairwise_order"))
+        yield ",".join(cols)
         for r in self.rows:
-            err = "" if r.error is None else _fmt(r.error)
-            ordr = "" if r.pairwise_order is None else _fmt(r.pairwise_order)
-            yield f"{r.N},{_fmt(r.h)},{err},{ordr}"
+            cells = (getattr(r, c) for c in cols)
+            yield ",".join("" if x is None else _fmt(x) for x in cells)
 
 
 class _ReferenceCache:
@@ -150,10 +161,11 @@ def _scored_run(m, prob, N, start_cfg, ref):
     return res, err
 
 
-def run_convergence(spec: StudySpec, reference_cache=None) -> list:
-    """Integrate each method at every step count, score against the cached
-    fine reference, and report pairwise orders plus a least-squares slope.
-    Failed rows are recorded and the study continues."""
+def _run_studies(spec: StudySpec, reference_cache, repeats: int,
+                 timed: bool) -> list:
+    """Integrate each (method, N) `repeats` times and score it against the
+    cached fine reference; a failed run makes a failure row and the study
+    continues."""
     cache = reference_cache or _ReferenceCache()
     prob = build_problem(spec)
     ref = cache.get(spec, prob)
@@ -166,80 +178,44 @@ def run_convergence(spec: StudySpec, reference_cache=None) -> list:
         for N in spec.steps:
             h = (prob.tF - prob.t0) / N
             try:
-                _, err = _scored_run(m, prob, N, start_cfg, ref)
-                order = None
-                if prev is not None and prev[1] > 0 and err > 0:
-                    # an exact run (error 0) has no order, as in _lsq_slope
-                    N0, e0 = prev
-                    order = float(np.log(e0 / err) / np.log(N / N0))
-                rows.append(ConvergenceRow(N, h, err, order))
-                prev = (N, err)
+                runs = [_scored_run(m, prob, N, start_cfg, ref)
+                        for _ in range(repeats)]
             except (IntegrationError, FloatingPointError) as exc:
                 rows.append(ConvergenceRow(N, h, None, None, failure=str(exc)))
+                continue
+            err = runs[-1][1]
+            order = None
+            if prev is not None and prev[1] > 0 and err > 0:
+                # an exact run (error 0) has no order, as in _lsq_slope
+                N0, e0 = prev
+                order = float(np.log(e0 / err) / np.log(N / N0))
+            prev = (N, err)
+            step_times = tuple(res.step_seconds for res, _ in runs)
+            best = min(step_times)
+            spread = (max(step_times) - best) / best if best > 0 else 0.0
+            if spread > 0.2:
+                warnings.warn(f"timing spread {spread:.0%} over repeats at N={N}",
+                              RuntimeWarning, stacklevel=3)
+            rows.append(ConvergenceRow(
+                N, h, err, order, seconds=best,
+                start_seconds=min(res.start_seconds for res, _ in runs),
+                repeat_seconds=step_times))
         studies.append(ConvergenceStudy(method=name, problem=spec.problem,
-                                        rows=rows, slope=_lsq_slope(rows)))
+                                        rows=rows, slope=_lsq_slope(rows),
+                                        timed=timed))
     return studies
 
 
-@dataclass
-class WorkPrecisionRow:
-    N: int
-    h: float
-    seconds: float | None          # stepping phase only, min over repeats
-    error: float | None
-    start_seconds: float | None = None
-    repeat_seconds: tuple = ()
-    failure: str | None = None
-
-
-@dataclass
-class WorkPrecisionStudy:
-    method: str
-    problem: str
-    rows: list
-
-    def csv_lines(self):
-        yield "N,h,seconds,error"
-        for r in self.rows:
-            sec = "" if r.seconds is None else _fmt(r.seconds)
-            err = "" if r.error is None else _fmt(r.error)
-            yield f"{r.N},{_fmt(r.h)},{sec},{err}"
+def run_convergence(spec: StudySpec, reference_cache=None) -> list:
+    """The convergence study: each (method, N) integrated once, whatever
+    spec.repeats says, with its errors, pairwise orders and slope."""
+    return _run_studies(spec, reference_cache, repeats=1, timed=False)
 
 
 def run_workprecision(spec: StudySpec, reference_cache=None) -> list:
-    """Same runs as run_convergence with wall-clock timing of the stepping
-    phase; each run repeated, minimum reported, starter cost separate."""
-    cache = reference_cache or _ReferenceCache()
-    prob = build_problem(spec)
-    ref = cache.get(spec, prob)
-    studies = []
-    for name in spec.methods:
-        m = resolve_method(name)
-        start_cfg = starter_config(spec, m)
-        rows = []
-        for N in spec.steps:
-            h = (prob.tF - prob.t0) / N
-            try:
-                step_times, start_times = [], []
-                for _ in range(max(1, spec.repeats)):
-                    res, err = _scored_run(m, prob, N, start_cfg, ref)
-                    step_times.append(res.step_seconds)
-                    start_times.append(res.start_seconds)
-                best = min(step_times)
-                spread = (max(step_times) - best) / best if best > 0 else 0.0
-                if spread > 0.2:
-                    warnings.warn(
-                        f"timing spread {spread:.0%} over repeats at N={N}",
-                        RuntimeWarning, stacklevel=2)
-                rows.append(WorkPrecisionRow(
-                    N, h, best, err,
-                    start_seconds=min(start_times),
-                    repeat_seconds=tuple(step_times)))
-            except (IntegrationError, FloatingPointError) as exc:
-                rows.append(WorkPrecisionRow(N, h, None, None, failure=str(exc)))
-        studies.append(WorkPrecisionStudy(method=name, problem=spec.problem,
-                                          rows=rows))
-    return studies
+    """The work-precision study: the convergence study with each run
+    repeated spec.repeats times, reporting its minimum times."""
+    return _run_studies(spec, reference_cache, repeats=spec.repeats, timed=True)
 
 
 # ---------------------------------------------------------------------------

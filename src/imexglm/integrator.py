@@ -154,16 +154,6 @@ class ExternalState:
         return self.blocks.shape[0]
 
 
-@dataclass(frozen=True)
-class StageSolveConfig:
-    newton_tol: float = 1e-12
-    max_newton: int = 25
-
-    def __post_init__(self):
-        if self.newton_tol <= 0 or self.max_newton < 1:
-            raise ValueError("newton_tol must be > 0 and max_newton >= 1")
-
-
 def imex_euler_ark() -> ImexGlmMethod:
     """IMEX Euler as a 2-stage additive RK pair (forward/backward Euler)."""
     return additive_rk_pair(
@@ -272,7 +262,7 @@ def _factorize(J, gamma: float, d: int):
     return lambda rhs: lu_solve(fact, rhs)
 
 
-def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
+def _stage(gamma, rhs, prob, t_stage, cache, predictor=None,
            stage_index=None):
     """Solve Y = rhs + gamma * g(t_stage, Y); return (Y, g(t_stage, Y)).
 
@@ -288,7 +278,7 @@ def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
                               stage=stage_index)
     if J is None:
         Y = rhs if gamma == 0.0 else _newton_solve(gamma, rhs, prob, t_stage,
-                                                   cfg, predictor, stage_index)
+                                                   predictor, stage_index)
         return Y, prob.g(t_stage, Y)
     if gamma == 0.0:
         G = J @ rhs
@@ -306,26 +296,30 @@ def _stage(gamma, rhs, prob, t_stage, cfg, cache, predictor=None,
     return Y, G
 
 
+# modified Newton on a nonlinear g: residual tolerance relative to
+# max(1, |rhs|), and iterations before a stage solve is reported stalled
+NEWTON_TOL = 1e-12
+MAX_NEWTON = 25
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 
-def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
+def _newton_solve(gamma, rhs, prob, t_stage, predictor, stage_index):
     """Modified Newton for nonlinear g, J frozen at the stage predictor.
 
-    The residual y - gamma g(y) - rhs is accepted at newton_tol *
+    The residual y - gamma g(y) - rhs is accepted at NEWTON_TOL *
     max(1, |rhs|), or at its rounding floor if that is larger.  The floor
     is set by the terms that cancel inside gamma g(y) near the solution,
     of size |gamma J y| (for a linear g = J y + b exactly so): on a very
-    stiff g it exceeds newton_tol * |rhs|, although |gamma g(y)| =
+    stiff g it exceeds NEWTON_TOL * |rhs|, although |gamma g(y)| =
     |y - rhs| stays small.  On the nonlinear Prothero-Robinson problem
     (lambda = -1e2 .. -1e8) the floor stays below eps |gamma J y|; the
     test allows 8 eps |gamma J y|."""
     y = np.array(rhs if predictor is None else predictor, dtype=float)
     J = prob.g_jacobian(t_stage, y)
     solve = _factorize(J, gamma, prob.d)
-    rhs_tol = cfg.newton_tol * max(1.0, float(np.linalg.norm(rhs)))
+    rhs_tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(rhs)))
     res_norm = np.inf
-    for _ in range(cfg.max_newton):
+    for _ in range(MAX_NEWTON):
         res = y - gamma * prob.g(t_stage, y) - rhs
         res_norm = float(np.linalg.norm(res))
         tol = max(rhs_tol,
@@ -337,7 +331,7 @@ def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
             return y
         y = y - solve(res)
     raise StageSolveError(
-        f"Newton stalled after {cfg.max_newton} iterations "
+        f"Newton stalled after {MAX_NEWTON} iterations "
         f"(residual {res_norm:.3e}, tol {tol:.3e})",
         stage=stage_index, residual=res_norm)
 
@@ -346,11 +340,10 @@ def _newton_solve(gamma, rhs, prob, t_stage, cfg, predictor, stage_index):
 # one step, of a GLM or of an additive RK pair (the one-value case)
 
 def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem,
-             state: ExternalState, cfg: StageSolveConfig | None = None,
+             state: ExternalState,
              cache: StiffSolverCache | None = None) -> ExternalState:
     """Advance the external vector by one step of size state.h: fill the F
     and G rows of the work array W stage by stage, then update."""
-    cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
     h, t = state.h, state.t
     rows = cache.stage_rows(m, h)
@@ -363,19 +356,18 @@ def glm_step(m: ImexGlmMethod, prob: SemiDiscreteProblem,
     for i, coef in enumerate(rows.stage):
         k = coef.size      # r + 2i: stage i reads W[:k] and writes F, G at k
         t_i = t + rows.dt[i]
-        Y, W[k + 1] = _stage(rows.gamma[i], coef @ W[:k], prob, t_i, cfg,
-                             cache, predictor=Y, stage_index=i)
+        Y, W[k + 1] = _stage(rows.gamma[i], coef @ W[:k], prob, t_i, cache,
+                             predictor=Y, stage_index=i)
         W[k] = prob.f(t_i, Y)
     return ExternalState(t=t + h, h=h, blocks=rows.update @ W, last_stage=Y)
 
 
 def ark_step(mrk: ImexGlmMethod, prob: SemiDiscreteProblem, y, t, h,
-             cfg: StageSolveConfig | None = None,
              cache: StiffSolverCache | None = None) -> np.ndarray:
     """One additive-RK step from (t, y) to t + h: a glm_step on the
     one-block state."""
     state = ExternalState(t, h, y[None])
-    return glm_step(mrk, prob, state, cfg, cache).blocks[0]
+    return glm_step(mrk, prob, state, cache).blocks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +402,6 @@ def rescaling_matrix(h: float, tau: float, r: int) -> np.ndarray:
 
 def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
                         start: StartingConfig | None = None,
-                        cfg: StageSolveConfig | None = None,
                         cache: StiffSolverCache | None = None) -> ExternalState:
     """Bootstrap the external vector at t0.
 
@@ -427,7 +418,6 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
     start = start or StartingConfig()
     if not getattr(start.scheme, "is_additive_rk", False):
         raise TypeError("starting scheme must be an additive RK pair")
-    cfg = cfg or StageSolveConfig()
     cache = cache or StiffSolverCache(prob)
     r = m.r
     tau = start.tau_ratio * h
@@ -444,7 +434,7 @@ def initialize_external(m: ImexGlmMethod, prob: SemiDiscreteProblem, h: float,
     ys = [y0]
     for j in range(r - 1):
         ys.append(ark_step(start.scheme, prob, ys[-1], t0 + j * tau, tau,
-                           cfg, cache))
+                           cache))
     # f and g at one node in turn, so they share the problem's evaluation
     # of that time
     Fs, Gs = np.empty((2, r, prob.d))
@@ -498,7 +488,6 @@ class IntegrationResult:
 
 def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
               n_steps: int, start: StartingConfig | None = None,
-              cfg: StageSolveConfig | None = None,
               record_trajectory: bool = False) -> IntegrationResult:
     """n_steps glm_steps over [t0, tF], from the starting procedure's
     external vector for a GLM and from the one-block state y0 for an
@@ -512,7 +501,6 @@ def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    cfg = cfg or StageSolveConfig()
     h = (prob.tF - prob.t0) / n_steps
     cache = StiffSolverCache(prob)
     ark = m.is_additive_rk
@@ -522,7 +510,7 @@ def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
         state = ExternalState(prob.t0, h, prob.y0[None])
     else:
         try:
-            state = initialize_external(m, prob, h, start, cfg, cache)
+            state = initialize_external(m, prob, h, start, cache)
         except (StageSolveError, IntegrationError) as exc:
             raise IntegrationError(f"starting procedure failed: {exc}") from exc
     t_step = time.perf_counter()
@@ -531,7 +519,7 @@ def integrate(m: ImexGlmMethod, prob: SemiDiscreteProblem,
     for n in range(n_steps):
         prepare_stage_times(prob, n, n_steps, state.t, h, offsets)
         try:
-            state = glm_step(m, prob, state, cfg, cache)
+            state = glm_step(m, prob, state, cache)
         except (StageSolveError, IntegrationError) as exc:
             raise IntegrationError(
                 f"step {n + 1}/{n_steps} at t={state.t:.6g} failed: {exc}") from exc

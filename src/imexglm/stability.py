@@ -359,13 +359,6 @@ def _schur_cohn(a: np.ndarray) -> np.ndarray:
     return stable
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
-    """rho(M) < 1 for each matrix of a stack (..., r, r), by the
-    Schur-Cohn test on its characteristic polynomial."""
-    return _schur_cohn(np.moveaxis(_charpoly(M), -1, 0))
-
-
 # Interpolation nodes of the line polynomials lie on this circle.  Any
 # radius from 1 to 4 gives the same decisions on the built-in methods.
 _NODE_RADIUS = 2.0

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import imexglm.harness as harness
 from imexglm.stability import COARSE_QUERY, StabilityQuery
 
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
@@ -34,3 +35,24 @@ def test_optimizer_query_is_the_coarse_query():
     query = dict(expected["stability"]["opt_query"])
     query["stiff_magnitudes"] = tuple(query["stiff_magnitudes"])
     assert StabilityQuery(**query) == COARSE_QUERY
+
+
+def test_convergence_integrates_each_run_once(monkeypatch):
+    # the wp-* operations build a StudySpec with the default repeats (3)
+    # and time one run_convergence call each: it must integrate once
+    calls = []
+    real = harness.integrate
+
+    def counting(m, prob, N, **kw):
+        calls.append((m.name, N))
+        return real(m, prob, N, **kw)
+
+    monkeypatch.setattr(harness, "integrate", counting)
+    spec = harness.StudySpec(problem="dahlquist", methods=("dimsim4", "ark4"),
+                             steps=(8, 16, 32))
+    assert spec.repeats == 3
+    studies = harness.run_convergence(spec)
+    assert sorted(calls) == sorted((m.name, N) for m in map(
+        harness.resolve_method, spec.methods) for N in spec.steps)
+    for st in studies:
+        assert [len(r.repeat_seconds) for r in st.rows] == [1, 1, 1]

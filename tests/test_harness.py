@@ -41,6 +41,11 @@ class TestStudySpec:
         with pytest.raises(ValueError, match="tau_ratio"):
             dahlquist_spec(tau_ratio=1.5)
 
+    def test_repeats_must_be_positive(self):
+        for repeats in (0, -1):
+            with pytest.raises(ValueError, match="repeats"):
+                dahlquist_spec(repeats=repeats)
+
     def test_single_method_string_coerces(self):
         spec = dahlquist_spec(methods="dimsim4")
         assert spec.methods == ("dimsim4",)
@@ -401,6 +406,22 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert [st["method"] for st in payload] == ["dimsim4", "ark4"]
         assert all(r["failure"] is None for st in payload for r in st["rows"])
+
+    def test_study_json_rows_share_their_keys(self, tmp_path, capsys):
+        keys = {}
+        for command in ("converge", "work-precision"):
+            out = tmp_path / f"{command}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rc = cli_main([command, "--problem", "dahlquist",
+                               "--method", "dimsim4", "--steps", "8,16,32",
+                               "--format", "json", "--out", str(out)])
+            assert rc == 0
+            (study,) = json.loads(out.read_text())
+            keys[command] = [list(study)] + [list(r) for r in study["rows"]]
+        assert keys["converge"] == keys["work-precision"]
+        assert keys["converge"][1] == ["N", "h", "error", "pairwise_order",
+                                       "seconds", "start_seconds", "failure"]
 
     def test_stability_takes_a_method_list(self, euler_glm, tmp_path, capsys):
         path = tmp_path / "euler-file.json"

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import imexglm.integrator as integrator
 from imexglm.integrator import (ExternalState, IntegrationError,
-                                SemiDiscreteProblem, StageSolveConfig,
-                                StageSolveError, StartingConfig,
-                                ark_step, derivative_weights,
+                                SemiDiscreteProblem, StageSolveError,
+                                StartingConfig, ark_step, derivative_weights,
                                 glm_step, imex_euler_ark, initialize_external,
                                 integrate, rescaling_matrix)
 from imexglm.harness import (StudySpec, _ReferenceCache, build_problem,
@@ -22,12 +21,11 @@ from imexglm.stability import imex_stability_matrix
 from imexglm.tableau import additive_rk_pair
 
 
-def solve_stage(i, rhs, m, prob, t, h, cfg=None, predictor=None):
+def solve_stage(i, rhs, m, prob, t, h, predictor=None):
     """Stage solve Y_i = rhs + h*ahat_ii * g(t + c_i h, Y_i), one stage of
     glm_step on its own."""
     gamma = h * float(m.Ahat[i, i])
     return integrator._stage(gamma, rhs, prob, t + float(m.c[i]) * h,
-                             cfg or StageSolveConfig(),
                              integrator.StiffSolverCache(prob),
                              predictor=predictor, stage_index=i)[0]
 
@@ -375,7 +373,7 @@ class TestStageSolves:
 
     def test_newton_residual_contract(self, dimsim4):
         # stiff nonlinear g: the returned stage satisfies the implicit
-        # relation to the configured tolerance
+        # relation to the Newton tolerance
         prob = SemiDiscreteProblem(
             name="nl", d=2, t0=0.0, tF=1.0, y0=np.array([0.7, -0.2]),
             f=lambda t, y: np.zeros(2),
@@ -384,11 +382,10 @@ class TestStageSolves:
         )
         h, t, i = 0.2, 0.0, 2
         rhs = np.array([0.9, -0.4])
-        cfg = StageSolveConfig()
-        Y = solve_stage(i, rhs, dimsim4, prob, t, h, cfg)
+        Y = solve_stage(i, rhs, dimsim4, prob, t, h)
         gamma = h * dimsim4.lam
         res = Y - gamma * prob.g(t + dimsim4.c[i] * h, Y) - rhs
-        assert np.linalg.norm(res) <= cfg.newton_tol * max(
+        assert np.linalg.norm(res) <= integrator.NEWTON_TOL * max(
             1.0, np.linalg.norm(rhs))
 
     @pytest.mark.parametrize("lam", [-1e4, -1e6, -1e7, -1e8])
@@ -414,9 +411,8 @@ class TestStageSolves:
             g=lambda t, y: np.exp(y) - 1.0,
             g_jacobian=lambda t, y: np.diag(np.exp(y)),
         )
-        cfg = StageSolveConfig(max_newton=1)
         with pytest.raises(StageSolveError) as info:
-            solve_stage(1, np.array([2.0]), dimsim4, prob, 0.0, 0.5, cfg,
+            solve_stage(1, np.array([2.0]), dimsim4, prob, 0.0, 0.5,
                         predictor=np.array([40.0]))
         assert info.value.stage == 1
         assert info.value.residual is not None
@@ -431,12 +427,6 @@ class TestStageSolves:
         mrk = imex_euler_ark()
         y = ark_step(mrk, prob, np.array([1.0]), 0.0, 0.0)
         assert np.allclose(y, 1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StageSolveConfig(newton_tol=0.0)
-        with pytest.raises(ValueError):
-            StageSolveConfig(max_newton=0)
 
     def test_stiff_part_described_once(self):
         base = dict(name="p", d=1, t0=0.0, tF=1.0, y0=np.zeros(1),
@@ -549,13 +539,13 @@ def two_product_glm_step(m, prob, state):
     """glm_step written as U y plus separate A and Ahat products per stage;
     returns (blocks, last stage)."""
     h, t, s = state.h, state.t, m.s
-    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    cache = integrator.StiffSolverCache(prob)
     F, G = np.zeros((s, prob.d)), np.zeros((s, prob.d))
     Uy = m.explicit.U @ state.blocks
     for i in range(s):
         rhs = Uy[i] + h * (m.A[i, :i] @ F[:i] + m.Ahat[i, :i] @ G[:i])
         t_i = t + float(m.c[i]) * h
-        Y, _ = integrator._stage(h * m.Ahat[i, i], rhs, prob, t_i, cfg, cache)
+        Y, _ = integrator._stage(h * m.Ahat[i, i], rhs, prob, t_i, cache)
         F[i], G[i] = prob.f(t_i, Y), prob.g(t_i, Y)
     return h * (m.B @ F + m.Bhat @ G) + m.explicit.V @ state.blocks, Y
 
@@ -563,12 +553,12 @@ def two_product_glm_step(m, prob, state):
 def two_product_ark_step(mrk, prob, y, t, h):
     sig = mrk.s
     Ae, Ai = mrk.A, mrk.Ahat
-    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    cache = integrator.StiffSolverCache(prob)
     F, G = np.zeros((sig, prob.d)), np.zeros((sig, prob.d))
     for i in range(sig):
         rhs = y + h * (Ae[i, :i] @ F[:i] + Ai[i, :i] @ G[:i])
         t_i = t + float(mrk.c[i]) * h
-        Y, _ = integrator._stage(h * Ai[i, i], rhs, prob, t_i, cfg, cache)
+        Y, _ = integrator._stage(h * Ai[i, i], rhs, prob, t_i, cache)
         F[i], G[i] = prob.f(t_i, Y), prob.g(t_i, Y)
     return y + h * (mrk.B[0] @ F + mrk.Bhat[0] @ G)
 
@@ -677,7 +667,7 @@ def reference_ark_integrate(mrk, prob, n_steps):
     vector product with [1 | h b, h bhat interleaved].  Returns
     (y, t, trajectory)."""
     h = (prob.tF - prob.t0) / n_steps
-    cfg, cache = StageSolveConfig(), integrator.StiffSolverCache(prob)
+    cache = integrator.StiffSolverCache(prob)
     sig = mrk.s
     Ae, be, Ai, bi = mrk.A, mrk.B[0], mrk.Ahat, mrk.Bhat[0]
     C = np.zeros((sig, 1 + 2 * sig))
@@ -693,7 +683,7 @@ def reference_ark_integrate(mrk, prob, n_steps):
             k = 1 + 2 * i
             t_i = t + float(mrk.c[i]) * h
             Y, W[k + 1] = integrator._stage(h * float(Ai[i, i]), C[i, :k] @ W[:k],
-                                            prob, t_i, cfg, cache, predictor=Y,
+                                            prob, t_i, cache, predictor=Y,
                                             stage_index=i)
             W[k] = prob.f(t_i, Y)
         y = update @ W

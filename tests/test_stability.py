@@ -14,7 +14,7 @@ from imexglm.stability import (DEFAULT_STIFF_MAGNITUDES,
                                _NODE_RADIUS, _pair_blocks,
                                _pair_charpolys, _pair_matrices_batch,
                                _ring_charpolys, _ring_points,
-                               _schur_cohn, _schur_cohn_stable,
+                               _schur_cohn,
                                _stability_decider, boundary_intersection,
                                check_irks,
                                check_L_stability, constrained_region_area,
@@ -195,6 +195,13 @@ class TestBoundary:
         rows = b.mirrored()
         assert rows.shape == (coarse_query.n_lines, 3)
         assert np.array_equal(rows[:, 2], -rows[:, 1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _schur_cohn_stable(M: np.ndarray) -> np.ndarray:
+    """rho(M) < 1 for each matrix of a stack (..., r, r), by the
+    Schur-Cohn test on its characteristic polynomial."""
+    return _schur_cohn(np.moveaxis(_charpoly(M), -1, 0))
 
 
 class TestSchurCohnDecision:
