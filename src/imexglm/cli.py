@@ -211,7 +211,7 @@ def _cmd_optimize(args) -> int:
         "singular": result.singular, "screened": result.screened,
         "best_area_trace": result.best_area_trace},
         indent=2, default=float))
-    if args.out and result.method is not None:
+    if args.out:
         save_method(result.method, args.out)
         print(f"# optimized method written to {args.out}", file=sys.stderr)
     return 0

@@ -82,11 +82,11 @@ def _reference_steps(spec: StudySpec) -> int:
 
 def starter_config(spec: StudySpec, m: ImexGlmMethod) -> StartingConfig:
     """spec.starter is "auto" or any method name of an additive RK pair.
-    "auto" takes imex-euler-ark, or ark4 for starting weights of degree
-    five and up, whose observed order the Euler starter costs."""
+    "auto" takes imex-euler-ark, or ark4 for r >= 5 (a DIMSIM of order five
+    and up), whose observed order the Euler starter costs."""
     name = spec.starter
     if name == "auto":
-        name = "ark4" if m.Q.shape[1] - 1 >= 5 else "imex-euler-ark"
+        name = "ark4" if m.r >= 5 else "imex-euler-ark"
     scheme = resolve_method(name)
     if not scheme.is_additive_rk:
         raise ValueError(f"starter {name!r} ({scheme.name}) is not an additive "
@@ -284,7 +284,7 @@ def _area_entry(name, area, alpha=None):
              "alpha": None if alpha is None else float(alpha),
              "x_b": float(area.x_b),
              "area_upper": float(area.area_upper),
-             "area_total": float(area.area_total),
+             "area_total": float(area.area),
              "decisions": area.decisions, "matrices": area.matrices,
              "singular": area.singular, "screened": area.screened}
     if area.flagged_empty:

@@ -1,4 +1,5 @@
-"""Built-in IMEX methods and loading of additive Runge-Kutta comparators.
+"""Built-in IMEX methods, the bundled additive Runge-Kutta comparators, and
+the method resolver.
 
 The order-4 and order-5 IMEX-DIMSIM pairs are stored exactly as published
 (15 decimal digits), B blocks and starting weights included; loading does
@@ -9,10 +10,10 @@ on every builtin GLM pair.
 
 Additive Runge-Kutta (ARK/IMEX-RK) comparators are the one-value case of
 the same ImexGlmMethod (tableau.additive_rk_pair).  Their coefficients are
-not baked into code: they live in JSON data files (see data/) and are
-loaded through load_ark_method.  Two Kennedy-Carpenter pairs,
-ARK4(3)6L[2]SA and ARK5(4)8L[2]SA, ship with the package; the JSON is
-regenerated from exact rationals by scripts/make_ark_tables.py.
+not baked into code: they live in JSON data files (see data/) and are read,
+like every method file, by tableau.load_method.  Two Kennedy-Carpenter
+pairs, ARK4(3)6L[2]SA and ARK5(4)8L[2]SA, ship with the package; the JSON
+is regenerated from exact rationals by scripts/make_ark_tables.py.
 resolve_method turns every method name into a method.
 """
 
@@ -27,10 +28,7 @@ from .integrator import imex_euler_ark
 from .tableau import (
     ImexGlmMethod,
     MethodFileError,
-    _parse_array,
-    _read_json_object,
-    additive_rk_pair,
-    method_from_dict,
+    load_method,
     starting_weight_matrix,
 )
 
@@ -126,17 +124,17 @@ _DIMSIM5 = {
 }
 
 
-def _assemble(name, tab, p):
-    return ImexGlmMethod(name=name, U=np.eye(p), p=p, q=p, **tab)
+def _assemble(name, tab, r):
+    return ImexGlmMethod(name=name, U=np.eye(r), **tab)
 
 
 def builtin_imex_dimsim4() -> ImexGlmMethod:
-    """Order-4 IMEX-DIMSIM pair (s = r = p = q = 4, c = [0, 1/3, 2/3, 1])."""
+    """Order-4 IMEX-DIMSIM pair (s = r = 4, c = [0, 1/3, 2/3, 1])."""
     return _assemble("imex-dimsim4", _DIMSIM4, 4)
 
 
 def builtin_imex_dimsim5() -> ImexGlmMethod:
-    """Order-5 IMEX-DIMSIM pair (s = r = p = q = 5, c = [0, 1/4, ..., 1]).
+    """Order-5 IMEX-DIMSIM pair (s = r = 5, c = [0, 1/4, ..., 1]).
 
     The implicit part as published is not L-stable: evaluated in 50-digit
     arithmetic on these doubles, rho(M(z)) is 0.0526 at z = -1e4 and
@@ -159,58 +157,7 @@ def builtin_imex_euler() -> ImexGlmMethod:
         A=A, B=np.ones((1, 1)), Ahat=Ahat, Bhat=np.ones((1, 1)),
         Q=starting_weight_matrix(A, c, 1),        # [[1, 0]]
         Qhat=starting_weight_matrix(Ahat, c, 1),  # [[1, -1]]
-        p=1, q=1,
     )
-
-
-_ARK_ABSCISSAE_TOL = 1e-10
-
-
-def ark_method_from_dict(d: dict, source) -> ImexGlmMethod:
-    """An additive RK pair, as a one-value GLM pair, from the parsed JSON
-    object of an ARK coefficient file; source (the file's path) names the
-    file in errors and gives the default name.
-
-    Numbers may be decimal strings or plain JSON numbers.  The stated
-    abscissae must match the row sums of both coupling matrices; a mismatch
-    is rejected naming the offending stage, since silently inconsistent
-    stage times is the classic transcription failure for these tables.
-    """
-    required = ["sigma", "c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"]
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise MethodFileError(f"{source}: ARK file missing fields: {missing}")
-    try:
-        sigma = int(d["sigma"])
-    except (TypeError, ValueError) as exc:
-        raise MethodFileError("sigma must be an integer") from exc
-
-    c = _parse_array(d["c"], (sigma,), "c")
-    Ae = _parse_array(d["A_explicit"], (sigma, sigma), "A_explicit")
-    be = _parse_array(d["b_explicit"], (sigma,), "b_explicit")
-    Ai = _parse_array(d["A_implicit"], (sigma, sigma), "A_implicit")
-    bi = _parse_array(d["b_implicit"], (sigma,), "b_implicit")
-
-    try:
-        m = additive_rk_pair(str(d.get("name", Path(source).stem)),
-                             c, Ae, be, Ai, bi)
-    except ValueError as exc:
-        raise MethodFileError(f"{source}: {exc}") from exc
-    for label, A in (("explicit", Ae), ("implicit", Ai)):
-        rowsum = A.sum(axis=1)
-        bad = np.nonzero(np.abs(rowsum - c) > _ARK_ABSCISSAE_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise MethodFileError(
-                f"{label} abscissae mismatch at stage {i}: "
-                f"row sum {rowsum[i]!r} vs c[{i}]={c[i]!r}"
-            )
-    return m
-
-
-def load_ark_method(path) -> ImexGlmMethod:
-    """Load an additive RK pair from a JSON coefficient file."""
-    return ark_method_from_dict(_read_json_object(path), path)
 
 
 def bundled_ark_path(order: int) -> Path:
@@ -226,8 +173,8 @@ BUILTIN_METHODS = {
     "dimsim5": builtin_imex_dimsim5,
     "imex-euler": builtin_imex_euler,
     "imex-euler-ark": imex_euler_ark,
-    "ark4": lambda: load_ark_method(bundled_ark_path(4)),
-    "ark5": lambda: load_ark_method(bundled_ark_path(5)),
+    "ark4": lambda: load_method(bundled_ark_path(4)),
+    "ark5": lambda: load_method(bundled_ark_path(5)),
 }
 
 
@@ -247,5 +194,4 @@ def resolve_method(spec: str) -> ImexGlmMethod:
             f"unknown method {spec!r}: not a builtin ({', '.join(sorted(BUILTIN_METHODS))}) "
             "and no such file"
         )
-    d = _read_json_object(path)
-    return ark_method_from_dict(d, path) if "sigma" in d else method_from_dict(d)
+    return load_method(path)

@@ -101,6 +101,8 @@ class StabilityQuery:
             raise ValueError("bisection tolerance must be positive and finite")
         if not (math.isfinite(self.y_top) and self.y_top > 0):
             raise ValueError("y_top must be positive and finite")
+        if not all(math.isfinite(m) and m >= 0.0 for m in self.stiff_magnitudes):
+            raise ValueError("stiff magnitudes must be finite and non-negative")
         if 0.0 not in self.stiff_magnitudes:
             raise ValueError("stiff magnitude grid must contain 0")
         if self.n_angles < 1 or self.n_lines < 2:
@@ -123,12 +125,16 @@ class StabilityQuery:
 def _layout(q: StabilityQuery, alpha: float):
     """(mags, th, grid) of q.rings and q.stiff_grid, read-only.  An alpha
     outside [0, pi/2] (with 1e-12 slack) would leave only what = 0 on the
-    grid, or be taken as pi/2, so it is refused."""
+    grid, or be taken as pi/2, so it is refused; so is one that keeps no
+    grid angle, which would leave only what = 0 of a nonzero ring."""
     if not -1e-12 <= alpha <= math.pi / 2 + 1e-12:
         raise ValueError(f"sector half-angle alpha={alpha!r} outside [0, pi/2]")
     th = q.angles()
     th = th[np.abs(th) <= alpha + 1e-12]
     mags = np.array([m for m in q.stiff_magnitudes if m > 0.0])
+    if mags.size and not th.size:
+        raise ValueError(f"sector half-angle alpha={alpha!r} keeps none of "
+                         f"the {q.n_angles} grid angles")
     return tuple(map(_read_only, (mags, th, _ring_points(mags, th))))
 
 
@@ -572,9 +578,8 @@ class RegionBoundary:
 
 @dataclass
 class AreaResult:
-    area: float             # area_total: both half-planes, by symmetry
+    area: float             # both half-planes, by symmetry
     area_upper: float
-    area_total: float
     x_b: float
     alpha: float
     component: str = "pair"
@@ -682,7 +687,7 @@ def constrained_region_area(m: ImexGlmMethod,
     boundary = region_boundary_points(m, q, alpha, component)
     empty = boundary.xs.size == 1 or boundary.x_b >= -q.tol
     upper = 0.0 if empty else float(np.trapezoid(boundary.ys, boundary.xs))
-    res = AreaResult(2.0 * upper, upper, 2.0 * upper, boundary.x_b, alpha,
+    res = AreaResult(2.0 * upper, upper, boundary.x_b, alpha,
                      component, flagged_empty=empty,
                      unbounded=boundary.unbounded, **boundary.counts)
     return res, boundary
@@ -829,7 +834,6 @@ def check_irks(t: GlmTableau, samples=None, name: str = "",
 @dataclass
 class OptimizeExplicitResult:
     method: ImexGlmMethod
-    A: np.ndarray
     area: float
     seed_area: float | None
     n_evaluations: int
@@ -880,18 +884,13 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     U = np.eye(s)
     Qhat = starting_weight_matrix(implicit.A, c, s)
 
-    def explicit_A(params: np.ndarray) -> np.ndarray:
+    def build(params: np.ndarray) -> ImexGlmMethod:
         A = np.zeros((s, s))
         A[lower] = params
-        return A
-
-    def build(params: np.ndarray) -> ImexGlmMethod:
-        A = explicit_A(params)
         return ImexGlmMethod(
             name="optimized-explicit", c=c, U=U, v=v,
             A=A, B=b_of(A), Ahat=implicit.A, Bhat=implicit.B,
             Q=starting_weight_matrix(A, c, s), Qhat=Qhat,
-            p=s, q=s,
         )
 
     state = {"n": 0, "best_area": -1.0, "best_params": None}
@@ -977,18 +976,13 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
                    min(budget - state["n"], max(budget // 8, 2 * n_free)))
             hop += 1
 
-    if state["best_params"] is None or state["best_area"] <= 0.0:
-        params = (seed_params if seed_matrix is not None
-                  else np.zeros(n_free))
-        return OptimizeExplicitResult(
-            method=build(params), A=explicit_A(params),
-            area=0.0, seed_area=seed_area, n_evaluations=state["n"],
-            failed=True, best_area_trace=trace, **counts,
-        )
-    best = state["best_params"]
+    failed = state["best_area"] <= 0.0      # -1 when nothing was scored
+    if failed:
+        params = seed_params if seed_matrix is not None else np.zeros(n_free)
+    else:
+        params = state["best_params"]
     return OptimizeExplicitResult(
-        method=build(best), A=explicit_A(best),
-        area=state["best_area"], seed_area=seed_area,
-        n_evaluations=state["n"], failed=False,
+        method=build(params), area=0.0 if failed else state["best_area"],
+        seed_area=seed_area, n_evaluations=state["n"], failed=failed,
         best_area_trace=trace, **counts,
     )

@@ -4,10 +4,13 @@ A method with s internal stages and r external values is held as the
 coefficient blocks (A, U, B, V) plus abscissae c.  An IMEX pair is one
 record, ImexGlmMethod: an explicit part (A, B) with A strictly lower
 triangular and an implicit part (Ahat, Bhat) with Ahat lower triangular,
-over one U, one V = e v^T (stored as v) and one c.  The DIMSIM class has
-p = q = r = s, U = I, V = e v^T and a constant implicit diagonal; an
+over one U, one V = e v^T (stored as v) and one c, with starting weights
+Q and Qhat of shape (r, r + 1).  The DIMSIM class has order p = stage
+order q = r = s, U = I, V = e v^T and a constant implicit diagonal; an
 additive RK pair is the one-value case r = 1, U = e, V = [[1]], with the
-weight vectors as B and Bhat (additive_rk_pair).
+weight vectors as B and Bhat (additive_rk_pair).  load_method reads both
+method file formats: GLM pairs (method_to_dict) and additive RK tables
+(ark_method_from_dict, marked by a `sigma` field).
 
 The B block is not free: once (A, c, v) are chosen it is pinned by the
 order conditions
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import factorial
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -92,9 +96,9 @@ class ImexGlmMethod:
 
     V is built from v, so the parts cannot disagree on U, V or c; explicit
     and implicit are read-only GlmTableau views for code that takes one
-    tableau.  Q and Qhat hold the weights expressing the initial external
-    vector in terms of scaled derivatives of the two split parts: column k
-    weights h^k d^k/dt^k of the nonstiff (Q) and stiff (Qhat) contributions.
+    tableau.  Q and Qhat weigh the r + 1 scaled derivatives the starting
+    procedure forms: column k weights h^k d^k/dt^k of the nonstiff (Q) and
+    stiff (Qhat) contributions to the initial external vector.
     """
 
     name: str
@@ -105,10 +109,8 @@ class ImexGlmMethod:
     B: np.ndarray          # (r, s) explicit stage -> external
     Ahat: np.ndarray       # (s, s) implicit, lower triangular
     Bhat: np.ndarray       # (r, s) implicit stage -> external
-    Q: np.ndarray          # (r, p + 1)
-    Qhat: np.ndarray       # (r, p + 1)
-    p: int
-    q: int
+    Q: np.ndarray          # (r, r + 1)
+    Qhat: np.ndarray       # (r, r + 1)
     explicit: GlmTableau = field(init=False, repr=False, compare=False)
     implicit: GlmTableau = field(init=False, repr=False, compare=False)
 
@@ -127,6 +129,10 @@ class ImexGlmMethod:
             raise ValueError(f"{self.name}: explicit A must be strictly lower triangular")
         if np.triu(self.Ahat, 1).any():
             raise ValueError(f"{self.name}: implicit A must be lower triangular")
+        for name, W in (("Q", self.Q), ("Qhat", self.Qhat)):
+            if W.shape != (self.r, self.r + 1):
+                raise ValueError(f"{self.name}: starting weights {name} have shape "
+                                 f"{W.shape}, expected (r, r + 1) with r = {self.r}")
 
     @property
     def s(self) -> int:
@@ -293,8 +299,7 @@ def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodVali
     s, r = m.s, m.r
     A, Ah = m.A, m.Ahat
 
-    add(ValidationCheck("square family (p=q=r=s)",
-                        float(abs(m.p - m.q) + abs(m.r - s) + abs(m.p - s)), 0.0))
+    add(ValidationCheck("square family (r = s)", float(abs(r - s)), 0.0))
     diag = np.diag(Ah)
     add(ValidationCheck("implicit diagonal constant", float(np.ptp(diag)), tol))
     add(ValidationCheck("implicit diagonal positive", float(max(0.0, -diag.min())), 0.0))
@@ -324,7 +329,7 @@ def validate_method(m: ImexGlmMethod, tol: float = STRUCTURAL_TOL) -> MethodVali
 
     for label, Qm, Am in (("Q", m.Q, A), ("Qhat", m.Qhat, Ah)):
         # the weights have s rows; a pair with r != s cannot carry them
-        want = starting_weight_matrix(Am, cs, m.p)
+        want = starting_weight_matrix(Am, cs, r)
         res = float(np.abs(Qm - want).max()) if Qm.shape == want.shape else np.inf
         add(ValidationCheck(f"starting weights {label}", res, tol))
     add(ValidationCheck("Q column 0 all ones", float(np.abs(m.Q[:, 0] - 1.0).max()), tol))
@@ -379,27 +384,73 @@ def method_to_dict(m: ImexGlmMethod) -> dict:
     if not np.array_equal(m.U, np.eye(m.s, m.r)):
         raise ValueError(f"{m.name}: a method file holds only pairs with "
                          "U = I, V = e v^T")
-    d = {"name": m.name, "s": m.s, "r": m.r, "p": m.p, "q": m.q}
+    d = {"name": m.name, "s": m.s, "r": m.r}
     d.update((k, _fmt_array(getattr(m, k))) for k in _FILE_ARRAYS)
     return d
 
 
 def method_from_dict(d: dict) -> ImexGlmMethod:
-    required = ["name", "s", "r", "p", "q", *_FILE_ARRAYS]
+    """A GLM pair from a parsed method file.  Other keys are ignored, so
+    a file that still carries the p and q of older versions loads."""
+    required = ["name", "s", "r", *_FILE_ARRAYS]
     missing = [k for k in required if k not in d]
     if missing:
         raise MethodFileError(f"method file missing fields: {missing}")
     try:
-        s, r, p, q = int(d["s"]), int(d["r"]), int(d["p"]), int(d["q"])
+        s, r = int(d["s"]), int(d["r"])
     except (TypeError, ValueError) as exc:
-        raise MethodFileError("s, r, p, q must be integers") from exc
-    shapes = ((s,), (s, s), (s, s), (r, s), (r, s), (r,), (r, p + 1), (r, p + 1))
+        raise MethodFileError("s and r must be integers") from exc
+    shapes = ((s,), (s, s), (s, s), (r, s), (r, s), (r,), (r, r + 1), (r, r + 1))
     arrays = {k: _parse_array(d[k], shape, k) for k, shape in zip(_FILE_ARRAYS, shapes)}
     try:
-        return ImexGlmMethod(name=str(d["name"]), U=np.eye(s, r), p=p, q=q,
-                             **arrays)
+        return ImexGlmMethod(name=str(d["name"]), U=np.eye(s, r), **arrays)
     except ValueError as exc:
         raise MethodFileError(str(exc)) from exc
+
+
+_ARK_ABSCISSAE_TOL = 1e-10
+
+
+def ark_method_from_dict(d: dict, source) -> ImexGlmMethod:
+    """An additive RK pair, as a one-value GLM pair, from the parsed JSON
+    object of an ARK coefficient file; source (the file's path) names the
+    file in errors and gives the default name.
+
+    Numbers may be decimal strings or plain JSON numbers.  The stated
+    abscissae must match the row sums of both coupling matrices; a mismatch
+    is rejected naming the offending stage, since silently inconsistent
+    stage times is the classic transcription failure for these tables.
+    """
+    required = ["sigma", "c", "A_explicit", "b_explicit", "A_implicit", "b_implicit"]
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise MethodFileError(f"{source}: ARK file missing fields: {missing}")
+    try:
+        sigma = int(d["sigma"])
+    except (TypeError, ValueError) as exc:
+        raise MethodFileError("sigma must be an integer") from exc
+
+    c = _parse_array(d["c"], (sigma,), "c")
+    Ae = _parse_array(d["A_explicit"], (sigma, sigma), "A_explicit")
+    be = _parse_array(d["b_explicit"], (sigma,), "b_explicit")
+    Ai = _parse_array(d["A_implicit"], (sigma, sigma), "A_implicit")
+    bi = _parse_array(d["b_implicit"], (sigma,), "b_implicit")
+
+    try:
+        m = additive_rk_pair(str(d.get("name", Path(source).stem)),
+                             c, Ae, be, Ai, bi)
+    except ValueError as exc:
+        raise MethodFileError(f"{source}: {exc}") from exc
+    for label, A in (("explicit", Ae), ("implicit", Ai)):
+        rowsum = A.sum(axis=1)
+        bad = np.nonzero(np.abs(rowsum - c) > _ARK_ABSCISSAE_TOL)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise MethodFileError(
+                f"{label} abscissae mismatch at stage {i}: "
+                f"row sum {rowsum[i]!r} vs c[{i}]={c[i]!r}"
+            )
+    return m
 
 
 def save_method(m: ImexGlmMethod, path) -> None:
@@ -410,24 +461,25 @@ def save_method(m: ImexGlmMethod, path) -> None:
 
 
 def load_method(path) -> ImexGlmMethod:
-    return method_from_dict(_read_json_object(path))
+    """Read a method file: an additive RK pair if it has a `sigma` field,
+    a GLM pair otherwise."""
+    d = _read_json_object(path)
+    return ark_method_from_dict(d, path) if "sigma" in d else method_from_dict(d)
 
 
-def imex_dimsim(name: str, c, A, Ahat, v, p: int | None = None) -> ImexGlmMethod:
+def imex_dimsim(name: str, c, A, Ahat, v) -> ImexGlmMethod:
     """Assemble an IMEX DIMSIM pair from its free parameters.
 
     B blocks and starting weights are derived from (A, c, v); use this for
     constructed methods.  Published methods keep their printed coefficients.
     """
     c = np.asarray(c, dtype=float)
-    p = c.size if p is None else p
     return ImexGlmMethod(
         name=name, c=c, U=np.eye(c.size), v=v,
         A=A, B=dimsim_b_matrix(A, c, v),
         Ahat=Ahat, Bhat=dimsim_b_matrix(Ahat, c, v),
-        Q=starting_weight_matrix(A, c, p),
-        Qhat=starting_weight_matrix(Ahat, c, p),
-        p=p, q=p,
+        Q=starting_weight_matrix(A, c, c.size),
+        Qhat=starting_weight_matrix(Ahat, c, c.size),
     )
 
 
@@ -435,12 +487,12 @@ def additive_rk_pair(name: str, c, A_explicit, b_explicit, A_implicit,
                      b_implicit) -> ImexGlmMethod:
     """An additive (IMEX) Runge-Kutta pair as a one-value GLM pair:
     U = e, V = [[1]], B = b_explicit^T, Bhat = b_implicit^T, v = [1], and
-    Q = Qhat = [[1, 0]] (p = q = 1), which makes the starting procedure
-    the identity (ImexGlmMethod.is_additive_rk)."""
+    Q = Qhat = [[1, 0]], which makes the starting procedure the identity
+    (ImexGlmMethod.is_additive_rk)."""
     Q = np.array([[1.0, 0.0]])
     return ImexGlmMethod(
         name=name, c=c, U=np.ones((len(c), 1)), v=np.ones(1),
         A=A_explicit, B=np.asarray(b_explicit)[None, :],
         Ahat=A_implicit, Bhat=np.asarray(b_implicit)[None, :],
-        Q=Q, Qhat=Q, p=1, q=1,
+        Q=Q, Qhat=Q,
     )

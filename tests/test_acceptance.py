@@ -27,14 +27,14 @@ from imexglm.integrator import (ExternalState, SemiDiscreteProblem,
                                 StartingConfig, glm_step,
                                 initialize_external, integrate)
 from imexglm.methods import (builtin_imex_dimsim4, bundled_ark_path,
-                             load_ark_method, resolve_method)
+                             resolve_method)
 from imexglm.problems import (allen_cahn_problem, burgers_problem,
                               dahlquist_split_problem, l2_error,
                               reference_solution)
 from imexglm.stability import (StabilityQuery, check_irks, check_L_stability,
                                constrained_region_area, imex_stability_matrix,
                                optimize_explicit_component, spectral_radius)
-from imexglm.tableau import validate_method
+from imexglm.tableau import load_method, validate_method
 
 
 def _line(capsys, n, ok, detail):
@@ -216,7 +216,7 @@ def test_criterion_6_order_reduction_contrast(capsys):
     prob = allen_cahn_problem(n=40, alpha=1.0)
     ref = reference_solution(prob, 33280)
     steps = (25, 50, 100, 200)
-    ark = load_ark_method(bundled_ark_path(4))
+    ark = load_method(bundled_ark_path(4))
     errs_ark = [l2_error(integrate(ark, prob, N).y, ref) for N in steps]
     m4 = builtin_imex_dimsim4()
     start = StartingConfig(scheme=resolve_method("imex-euler-ark"),
@@ -251,7 +251,7 @@ def test_criterion_7_starting_exactness(dimsim4, dimsim5, capsys):
             state = initialize_external(m, prob, h)
             for i in range(r):
                 want = 0.8 + sum(h ** k * m.Q[i, k] * pf.deriv(k - 1)(0.0)
-                                 for k in range(1, m.p + 1))
+                                 for k in range(1, m.r + 1))
                 worst = max(worst, abs(state.blocks[i, 0] - want))
     ok = worst < 1e-11
     _line(capsys, 7, ok, f"worst starting deviation {worst:.2e} vs 1e-11")

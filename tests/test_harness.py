@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -13,8 +12,8 @@ from imexglm.harness import (STABILITY_ALPHAS, ConvergenceStudy, StudySpec,
                              run_convergence, run_workprecision,
                              starter_config, write_study_csv)
 from imexglm.integrator import SemiDiscreteProblem, imex_euler_ark, integrate
-from imexglm.methods import bundled_ark_path, load_ark_method, resolve_method
-from imexglm.tableau import method_to_dict, save_method
+from imexglm.methods import bundled_ark_path
+from imexglm.tableau import load_method, method_to_dict, save_method
 
 
 def dahlquist_spec(**kw):
@@ -72,14 +71,7 @@ class TestStarterPolicy:
 
     def test_auto_switches_for_order_five(self, dimsim5):
         cfg = starter_config(dahlquist_spec(), dimsim5)
-        assert same_pair(cfg.scheme, load_ark_method(bundled_ark_path(4)))
-
-    def test_auto_reads_the_starting_weight_degree(self, dimsim4, dimsim5):
-        # the degree is the width of Q, whatever p records
-        low = starter_config(dahlquist_spec(), dataclasses.replace(dimsim5, p=1))
-        assert same_pair(low.scheme, resolve_method("ark4"))
-        high = starter_config(dahlquist_spec(), dataclasses.replace(dimsim4, p=5))
-        assert same_pair(high.scheme, imex_euler_ark())
+        assert same_pair(cfg.scheme, load_method(bundled_ark_path(4)))
 
     def test_explicit_override_wins(self, dimsim5):
         cfg = starter_config(dahlquist_spec(starter="imex-euler-ark"), dimsim5)
@@ -88,7 +80,7 @@ class TestStarterPolicy:
     def test_path_starter_resolves(self, dimsim4):
         path = bundled_ark_path(5)
         cfg = starter_config(dahlquist_spec(starter=str(path)), dimsim4)
-        assert same_pair(cfg.scheme, load_ark_method(path))
+        assert same_pair(cfg.scheme, load_method(path))
 
     @pytest.mark.parametrize("name", ["dimsim4", "imex-euler"])
     def test_starter_must_be_an_additive_rk_pair(self, name, dimsim4):
@@ -368,6 +360,21 @@ class TestCli:
     def test_integrate_defaults_to_25_steps(self, capsys):
         assert cli_main(["integrate", "--problem", "dahlquist"]) == 0
         assert json.loads(capsys.readouterr().out)["N"] == 25
+
+    def test_integrate_refuses_cut_starting_weights(self, dimsim4, tmp_path,
+                                                     capsys):
+        # Q and Qhat cut to 3 columns (p = 2) used to exit 2 with numpy's
+        # matmul error at the first step; the file is now refused on load
+        d = method_to_dict(dimsim4)
+        d.update(p=2, q=2, Q=[row[:3] for row in d["Q"]],
+                 Qhat=[row[:3] for row in d["Qhat"]])
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(d))
+        rc = cli_main(["integrate", "--problem", "dahlquist",
+                       "--method", str(path), "--steps", "10"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'Q' has shape (4, 3), expected (4, 5)" in err
 
     def test_integrate_takes_one_step_count(self, capsys):
         with pytest.raises(SystemExit) as info:

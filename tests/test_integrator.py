@@ -13,12 +13,12 @@ from imexglm.integrator import (ExternalState, IntegrationError,
                                 integrate, rescaling_matrix)
 from imexglm.harness import (StudySpec, _ReferenceCache, build_problem,
                              run_convergence, run_workprecision)
-from imexglm.methods import bundled_ark_path, load_ark_method, resolve_method
+from imexglm.methods import bundled_ark_path, resolve_method
 from imexglm.problems import (KroneckerSum, allen_cahn_benchmark,
                               burgers_benchmark, dahlquist_split_problem,
                               l2_error)
 from imexglm.stability import imex_stability_matrix
-from imexglm.tableau import additive_rk_pair
+from imexglm.tableau import additive_rk_pair, load_method
 
 
 def solve_stage(i, rhs, m, prob, t, h, predictor=None):
@@ -102,7 +102,7 @@ class TestStartingProcedure:
             y0 = prob.y0[0]
             for i in range(r):
                 want = y0
-                for k in range(1, m.p + 1):
+                for k in range(1, m.r + 1):
                     want += h ** k * (m.Q[i, k] * pf.deriv(k - 1)(0.0)
                                       + m.Qhat[i, k] * pg.deriv(k - 1)(0.0))
                 assert state.blocks[i, 0] == pytest.approx(want, abs=1e-11)
@@ -132,7 +132,7 @@ class TestStartingProcedure:
         prob = dahlquist_split_problem(-0.3, -2.0)
         state = initialize_external(
             dimsim5, prob, 0.05,
-            StartingConfig(scheme=load_ark_method(bundled_ark_path(4))))
+            StartingConfig(scheme=load_method(bundled_ark_path(4))))
         assert state.blocks.shape == (5, prob.d)
 
     def test_bad_scheme_type(self, dimsim4):
@@ -532,7 +532,7 @@ class TestArkStepper:
 
 
 def _m4():
-    return load_ark_method(bundled_ark_path(4))
+    return load_method(bundled_ark_path(4))
 
 
 def two_product_glm_step(m, prob, state):
@@ -699,7 +699,7 @@ ORACLE_PROBLEMS = {
 }
 ORACLE_METHODS = {
     "ark4": _m4,
-    "ark5": lambda: load_ark_method(bundled_ark_path(5)),
+    "ark5": lambda: load_method(bundled_ark_path(5)),
     "imex-euler-ark": imex_euler_ark,
     "rk4": classical_rk4,
 }

@@ -1,13 +1,17 @@
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imexglm.integrator import StartingConfig
 from imexglm.methods import (bundled_ark_path, builtin_imex_euler,
-                             load_ark_method, resolve_method)
+                             resolve_method)
 from imexglm.tableau import (ImexGlmMethod, MethodFileError, additive_rk_pair,
-                             save_method, validate_method)
+                             load_method, save_method, validate_method)
 
 
 class TestBuiltinCoefficients:
@@ -27,12 +31,12 @@ class TestBuiltinCoefficients:
 
     def test_order5_spot_values(self, dimsim5):
         assert dimsim5.lam == 0.278053841136452
-        assert dimsim5.s == 5 and dimsim5.p == 5
+        assert dimsim5.s == 5 and dimsim5.r == 5
         assert np.allclose(dimsim5.c, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert dimsim5.v.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_euler_structure(self, euler_glm):
-        assert euler_glm.s == 1 and euler_glm.p == 1
+        assert euler_glm.s == 1 and euler_glm.r == 1
         assert np.array_equal(euler_glm.Q, [[1.0, 0.0]])
         assert np.array_equal(euler_glm.Qhat, [[1.0, -1.0]])
         assert euler_glm.A[0, 0] == 0.0 and euler_glm.Ahat[0, 0] == 1.0
@@ -43,13 +47,13 @@ class TestArkLoading:
         for order, sigma in ((4, 6), (5, 8)):
             path = bundled_ark_path(order)
             assert path.exists()
-            m = load_ark_method(path)
+            m = load_method(path)
             assert isinstance(m, ImexGlmMethod) and m.is_additive_rk
             assert m.s == sigma
             assert m.B[0].sum() == pytest.approx(1.0, abs=1e-13)
             assert m.Bhat[0].sum() == pytest.approx(1.0, abs=1e-13)
         # the 6-stage pair is stiffly accurate: weights equal last stage row
-        m4 = load_ark_method(bundled_ark_path(4))
+        m4 = load_method(bundled_ark_path(4))
         assert np.allclose(m4.Bhat[0], m4.Ahat[-1], atol=1e-13)
 
     def test_bundled_order_guard(self):
@@ -69,7 +73,7 @@ class TestArkLoading:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(d))
         with pytest.raises(MethodFileError, match="stage 1"):
-            load_ark_method(path)
+            load_method(path)
 
     def test_triangularity_enforced(self, tmp_path):
         d = {
@@ -83,7 +87,7 @@ class TestArkLoading:
         path = tmp_path / "upper.json"
         path.write_text(json.dumps(d))
         with pytest.raises(MethodFileError, match="strictly lower"):
-            load_ark_method(path)
+            load_method(path)
 
     def test_non_triangular_pair_rejected(self):
         c, b = np.array([0.0, 1.0]), np.array([0.5, 0.5])
@@ -105,12 +109,39 @@ class TestArkLoading:
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"sigma": 2, "c": ["0", "1"]}))
         with pytest.raises(MethodFileError, match="missing"):
-            load_ark_method(path)
+            load_method(path)
 
     def test_coefficients_are_readonly(self):
-        m = load_ark_method(bundled_ark_path(4))
+        m = load_method(bundled_ark_path(4))
         with pytest.raises(ValueError):
             m.c[0] = 0.5
+
+
+    def test_load_method_reads_ark_files(self):
+        for order in (4, 5):
+            got = load_method(bundled_ark_path(order))
+            want = resolve_method(f"ark{order}")
+            assert got.name == want.name and got.is_additive_rk
+            for attr in ("c", "U", "v", "A", "B", "Ahat", "Bhat", "Q", "Qhat"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_table_script_reproduces_the_shipped_files(self, tmp_path):
+        # the script writes into ../src/imexglm/data beside its own folder
+        script = Path(__file__).parents[1] / "scripts" / "make_ark_tables.py"
+        (tmp_path / "scripts").mkdir()
+        shutil.copy(script, tmp_path / "scripts")
+        data = tmp_path / "src" / "imexglm" / "data"
+        data.mkdir(parents=True)
+        out = subprocess.run(
+            [sys.executable, str(tmp_path / "scripts" / script.name)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        for order in (4, 5):
+            shipped = bundled_ark_path(order)
+            made = data / shipped.name
+            assert made.read_bytes() == shipped.read_bytes(), shipped.name
+            m = load_method(made)
+            assert m.is_additive_rk and m.name == resolve_method(f"ark{order}").name
 
 
 class TestResolveMethod:

@@ -144,6 +144,28 @@ class TestQueryValidation:
             with pytest.raises(ValueError, match="outside"):
                 call()
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_stiff_magnitudes_finite_and_non_negative(self, bad):
+        # a negative or NaN magnitude was dropped from the rings (the area
+        # equalled that of (0, 1)), and an infinite one gave an empty region
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            StabilityQuery(stiff_magnitudes=(0.0, bad, 1.0))
+
+    def test_alpha_that_keeps_no_grid_angle(self, dimsim4):
+        # angles -pi/2 and pi/2 only: alpha = pi/3 left what = 0 alone, and
+        # the explicit component's area was reported as the pair's
+        q = StabilityQuery(n_angles=2)
+        assert q.rings(math.pi / 2)[1].size == 2
+        for call in (lambda: q.rings(math.pi / 3),
+                     lambda: q.stiff_grid(math.pi / 3),
+                     lambda: constrained_region_area(dimsim4, q,
+                                                     alpha=math.pi / 3)):
+            with pytest.raises(ValueError, match="keeps none"):
+                call()
+        # a grid of what = 0 alone has no ring to lose
+        only_zero = StabilityQuery(stiff_magnitudes=(0.0,), n_angles=2)
+        assert only_zero.stiff_grid(math.pi / 3).tolist() == [0j]
+
     def test_alpha_slack_at_the_ends(self):
         q = StabilityQuery(n_angles=5)
         assert q.rings(math.pi / 2 + 1e-13)[1].size == 5
@@ -343,7 +365,7 @@ class TestLinePolynomial:
             dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
             budget=rec["budget"], seed_matrix=np.asarray(dimsim4.A),
             rng_seed=rec["rng_seed"])
-        assert out.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
+        assert out.method.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
         assert (out.area, out.seed_area, out.n_evaluations) == (
             rec["area"], rec["seed_area"], rec["n_evaluations"])
         assert (out.decisions, out.matrices, out.singular) == (
@@ -1122,8 +1144,7 @@ class TestAreas:
     def test_euler_disk_area(self, euler_glm, coarse_query):
         res, _ = constrained_region_area(euler_glm, coarse_query)
         assert not res.flagged_empty
-        assert res.area_total == pytest.approx(2 * res.area_upper)
-        assert res.area == res.area_total
+        assert res.area == 2 * res.area_upper
         assert abs(res.area - math.pi) < 0.1
         assert res.x_b == pytest.approx(-2.0, abs=3 * coarse_query.tol)
 
@@ -1199,7 +1220,7 @@ class TestIrksReport:
 def optimizer_record(out):
     """Everything an OptimizeExplicitResult reports, bitwise."""
     m = out.method
-    return ((out.A.tobytes(), out.area, out.seed_area, out.n_evaluations,
+    return ((out.method.A.tobytes(), out.area, out.seed_area, out.n_evaluations,
              out.failed, out.decisions, out.matrices, out.singular,
              out.screened, out.best_area_trace)
             + tuple(getattr(m, k).tobytes() for k in ("A", "B", "Q", "Qhat")))
@@ -1235,7 +1256,7 @@ class TestRepeatMemo:
                                       rec["budget"])
         assert len(scored) == len(set(scored)) == 90
         assert out.n_evaluations == rec["n_evaluations"] == 93
-        assert out.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
+        assert out.method.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
         assert (out.area, out.seed_area, out.decisions, out.matrices,
                 out.singular) == (rec["area"], rec["seed_area"],
                                   rec["decisions"], rec["matrices"],
@@ -1301,7 +1322,7 @@ class TestOptimizer:
                                             rng_seed=7) for _ in range(2)]
         assert runs[0].area == runs[1].area
         assert runs[0].n_evaluations == runs[1].n_evaluations
-        assert np.array_equal(runs[0].A, runs[1].A)
+        assert np.array_equal(runs[0].method.A, runs[1].method.A)
         assert runs[0].area > 0.0
 
 

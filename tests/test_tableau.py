@@ -127,7 +127,7 @@ class TestSerialization:
             for attr in ("A", "Ahat", "B", "Bhat", "Q", "Qhat", "v", "c"):
                 a, b = np.asarray(getattr(m, attr)), np.asarray(getattr(m2, attr))
                 assert np.array_equal(a, b), attr
-            assert (m2.name, m2.p, m2.q) == (m.name, m.p, m.q)
+            assert (m2.name, m2.r) == (m.name, m.r)
 
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=25, deadline=None)
@@ -182,7 +182,7 @@ class TestValidation:
         bad = ImexGlmMethod(
             name="bad", c=dimsim4.c, U=dimsim4.U, v=dimsim4.v,
             A=A, B=dimsim4.B, Ahat=dimsim4.Ahat, Bhat=dimsim4.Bhat,
-            Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
+            Q=dimsim4.Q, Qhat=dimsim4.Qhat)
         report = validate_method(bad)
         assert not report.passed
         names = [chk.name for chk in report.failures()]
@@ -213,7 +213,7 @@ class TestValidation:
         # the DIMSIM B relation needs r = s; an ARK pair has r = 1
         report = validate_method(resolve_method("ark4"))
         failed = {chk.name: chk.residual for chk in report.failures()}
-        assert failed["square family (p=q=r=s)"] > 0.0
+        assert failed["square family (r = s)"] > 0.0
         assert failed["explicit B solves order conditions"] == np.inf
         assert failed["implicit B solves order conditions"] == np.inf
         # Q has r = 1 row and the starting weights s rows: no broadcast
@@ -228,10 +228,10 @@ class TestValidation:
         A = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0]])
         Ah = np.diag([0.5, 0.5, 0.5]) + np.tril(np.full((3, 3), 0.1), -1)
         B = np.full((2, 3), 1.0 / 3.0)
-        Q = np.array([[1.0, 0.0], [1.0, 0.5]])
+        Q = np.array([[1.0, 0.0, 0.0], [1.0, 0.5, 0.125]])
         m = ImexGlmMethod(name="s3r2", c=c, U=np.ones((3, 2)) / 2.0,
                           v=np.array([0.5, 0.5]), A=A, B=B, Ahat=Ah, Bhat=B,
-                          Q=Q, Qhat=Q, p=1, q=1)
+                          Q=Q, Qhat=Q)
         assert np.array_equal(m.V, np.full((2, 2), 0.5))
         report = validate_method(m)
         failed = {chk.name: chk.residual for chk in report.failures()}
@@ -254,6 +254,60 @@ class TestValidation:
     def test_coefficients_are_readonly(self, dimsim4):
         with pytest.raises(ValueError):
             dimsim4.A[0, 0] = 1.0
+
+
+def cut_starting_weights(d: dict, columns: int) -> dict:
+    """A method file whose Q and Qhat keep their first columns only, with
+    the p and q of the degree that width states."""
+    return dict(d, p=columns - 1, q=columns - 1,
+                Q=[row[:columns] for row in d["Q"]],
+                Qhat=[row[:columns] for row in d["Qhat"]])
+
+
+class TestStartingWeightShape:
+    """Q and Qhat are (r, r + 1): the starting procedure reads columns
+    1..r, so r is the one degree a pair records."""
+
+    def test_cut_degree_file_names_the_q_shape(self, dimsim4, tmp_path):
+        # such a file used to load and then fail at the first step with
+        # numpy's matmul core-dimension error
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(cut_starting_weights(method_to_dict(dimsim4), 3)))
+        with pytest.raises(MethodFileError,
+                           match=r"'Q' has shape \(4, 3\), expected \(4, 5\)"):
+            load_method(path)
+
+    def test_wrong_shape_rejected_at_construction(self, dimsim4):
+        # a 3-row Q used to construct and fail at the first step ("state
+        # has 3 blocks, method wants 4")
+        for Q, Qhat, name in ((dimsim4.Q[:3], dimsim4.Qhat, "Q"),
+                              (dimsim4.Q, dimsim4.Qhat[:, :3], "Qhat")):
+            with pytest.raises(ValueError,
+                               match=f"starting weights {name} have shape"):
+                ImexGlmMethod(name="cut", c=dimsim4.c, U=dimsim4.U,
+                              v=dimsim4.v, A=dimsim4.A, B=dimsim4.B,
+                              Ahat=dimsim4.Ahat, Bhat=dimsim4.Bhat,
+                              Q=Q, Qhat=Qhat)
+
+    def test_legacy_file_with_p_and_q_loads_bitwise(self, dimsim4, dimsim5,
+                                                    euler_glm, tmp_path):
+        for m in (dimsim4, dimsim5, euler_glm):
+            d = method_to_dict(m)
+            assert "p" not in d and "q" not in d
+            path = tmp_path / f"{m.name}.json"
+            path.write_text(json.dumps(cut_starting_weights(d, m.r + 1)))
+            m2 = load_method(path)
+            assert m2.name == m.name
+            for attr in ("c", "U", "v", "A", "B", "Ahat", "Bhat", "Q", "Qhat"):
+                assert np.array_equal(getattr(m2, attr), getattr(m, attr)), attr
+
+    def test_constructed_pairs_carry_degree_r(self):
+        c = np.array([0.0, 0.5, 1.0])
+        m = imex_dimsim("three", c, np.tril(np.full((3, 3), 0.5), -1),
+                        np.eye(3) * 0.5, np.array([0.0, 0.0, 1.0]))
+        assert m.Q.shape == m.Qhat.shape == (3, 4)
+        with pytest.raises(TypeError):
+            imex_dimsim("three", c, m.A, m.Ahat, m.v, p=2)
 
 
 class TestPairRecord:
@@ -283,7 +337,7 @@ class TestPairRecord:
             ImexGlmMethod(name="short-v", c=dimsim4.c, U=dimsim4.U,
                           v=dimsim4.v[:-1], A=dimsim4.A, B=dimsim4.B,
                           Ahat=dimsim4.Ahat, Bhat=dimsim4.Bhat,
-                          Q=dimsim4.Q, Qhat=dimsim4.Qhat, p=4, q=4)
+                          Q=dimsim4.Q, Qhat=dimsim4.Qhat)
 
 
 class TestAdditiveRkPair:
@@ -292,7 +346,8 @@ class TestAdditiveRkPair:
         A, b = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5])
         Ah, bh = np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([0.5, 0.5])
         m = additive_rk_pair("trapezoid", c, A, b, Ah, bh)
-        assert (m.s, m.r, m.p, m.q) == (2, 1, 1, 1)
+        assert (m.s, m.r) == (2, 1)
+        assert np.array_equal(m.Q, [[1.0, 0.0]]) and np.array_equal(m.Qhat, m.Q)
         for t, bt in ((m.explicit, b), (m.implicit, bh)):
             assert np.array_equal(t.U, np.ones((2, 1)))
             assert np.array_equal(t.V, [[1.0]])
