@@ -22,7 +22,7 @@ from .methods import resolve_method
 from .problems import (DEFAULT_REFERENCE_STEPS, allen_cahn_benchmark,
                        burgers_benchmark, dahlquist_split_problem, l2_error,
                        reference_solution)
-from .stability import StabilityQuery, constrained_region_area
+from .stability import StabilityQuery, constrained_region_areas
 from .tableau import ImexGlmMethod
 
 
@@ -245,7 +245,8 @@ def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir) -> dict:
                 distinguished by the alpha column
     areas.json  area report per region, after the query that made it
 
-    Returns the area report dictionary.
+    The five regions are traced in lockstep, in one constrained_region_areas
+    call.  Returns the area report dictionary.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,17 +254,16 @@ def emit_stability(m: ImexGlmMethod, query: StabilityQuery, out_dir) -> dict:
               "query": _query_entry(query),
               "explicit": None, "implicit": None, "pair": []}
 
-    area, boundary = constrained_region_area(m, query, component="explicit")
+    (area, boundary), (area_i, boundary_i), *pairs = constrained_region_areas(
+        [(m, None, "explicit"), (m, None, "implicit")]
+        + [(m, alpha, "pair") for alpha in STABILITY_ALPHAS], query)
     report["explicit"] = _area_entry(m.name, area)
     (out_dir / "s.csv").write_text("\n".join(_boundary_csv_lines(boundary)) + "\n")
-
-    area_i, boundary_i = constrained_region_area(m, query, component="implicit")
     report["implicit"] = _area_entry(m.name, area_i)
     (out_dir / "shat.csv").write_text("\n".join(_boundary_csv_lines(boundary_i)) + "\n")
 
     pair_lines = []
-    for k, alpha in enumerate(STABILITY_ALPHAS):
-        area_p, boundary_p = constrained_region_area(m, query, alpha=alpha)
+    for k, (alpha, (area_p, boundary_p)) in enumerate(zip(STABILITY_ALPHAS, pairs)):
         report["pair"].append(_area_entry(m.name, area_p, alpha=alpha))
         lines = _boundary_csv_lines(boundary_p, with_alpha=alpha)
         if k > 0:

@@ -16,8 +16,12 @@ Every search runs in batched decisions, each over points x stiff points.
 The leftmost real-axis crossing decides all its seeds and doublings at
 once, then bisects several levels per decision; all lines are bisected in
 lockstep, one decision per level over compact arrays of the lines still
-open.  rho(M) < 1 is decided without
-eigenvalues or per-point linear solves.  For a fixed stiff point,
+open.  The searches are generators, so many regions are traced in
+lockstep too (constrained_region_areas): each round takes every region's
+next batch and runs one Schur-Cohn test per degree over all of them, and
+regions of one s, r, alpha and component set up their line polynomials
+in one pass.  rho(M) < 1 is decided without eigenvalues or per-point
+linear solves.  For a fixed stiff point,
 
     Q(z; v) = det(E) det(zI - M) = det [[E, -U], [-W, zI - V]],
 
@@ -49,6 +53,9 @@ unscreened test, plus the number of w the screen alone put outside.
 optimize_explicit_component scores each distinct candidate once: a
 candidate met again (each Nelder-Mead polish starts at a point already
 scored) reuses its area and counts, but still counts against the budget.
+Candidates whose areas do not depend on each other are scored ahead,
+together: the seed with its random probes, each polish's starting
+simplex, and each differential-evolution generation.
 
 All of this is numpy alone; only optimize_explicit_component imports
 scipy.optimize, on its first call.
@@ -59,6 +66,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +189,14 @@ def spectral_radius(M) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+def _stack(ms) -> SimpleNamespace:
+    """What _pair_charpolys and _ring_charpolys read of a pair, for pairs
+    of one s and r stacked as (G, 1, 1, ...) to broadcast as one pair's."""
+    return SimpleNamespace(s=ms[0].s, r=ms[0].r, **{
+        k: np.array([getattr(m, k) for m in ms])[:, None, None]
+        for k in ("A", "B", "Ahat", "Bhat", "U", "V")})
+
+
 def _pair_blocks(m: ImexGlmMethod, w, whats):
     """E = I - wA - what*Ahat and W = wB + what*Bhat over the stiff values:
     E of shape (P, s, s) for a scalar w, (L, P, s, s) for w of shape (L,)."""
@@ -199,22 +215,23 @@ def _pair_matrices_batch(m: ImexGlmMethod, w, whats: np.ndarray) -> np.ndarray:
 
 def _block_charpoly(E: np.ndarray, W: np.ndarray, U: np.ndarray,
                     V: np.ndarray) -> np.ndarray:
-    """det [[E, -U], [-W, zI - V]] for each (E, W) of a stack, as
+    """det [[E, -U], [-W, zI - V]] for each (E, W, U, V) of a stack, as
     coefficients in z, highest degree first, interpolated at the (r + 1)th
     roots of unity.  Unlike det(E) det(zI - M) it needs no inverse of E."""
     s, r = E.shape[-1], V.shape[-1]
     z = np.exp(2j * np.pi * np.arange(r + 1) / (r + 1))[:, None, None]
     K = np.zeros(E.shape[:-2] + (r + 1, s + r, s + r), dtype=complex)
     K[..., :s, :s] = E[..., None, :, :]
-    K[..., :s, s:] = -U
+    K[..., :s, s:] = -U[..., None, :, :]
     K[..., s:, :s] = -W[..., None, :, :]
-    K[..., s:, s:] = z * np.eye(r) - V
+    K[..., s:, s:] = z * np.eye(r) - V[..., None, :, :]
     return np.fft.fft(np.linalg.det(K), axis=-1)[..., ::-1] / (r + 1)
 
 
-def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
+def _pair_charpolys(m, w, whats) -> np.ndarray:
     """det(E) det(zI - M(w, what)) as coefficients in z, highest degree
-    first, stacked (..., P, r + 1) as in _pair_matrices_batch.
+    first, stacked (..., P, r + 1) as in _pair_matrices_batch; a _stack m
+    puts its pair axis first, and a unit axis after it for a scalar w.
 
     E = I - wA - what*Ahat is lower triangular (ImexGlmMethod holds A
     strictly lower and Ahat lower triangular), so det(E) is the product of
@@ -231,17 +248,17 @@ def _pair_charpolys(m: ImexGlmMethod, w, whats) -> np.ndarray:
     X = np.empty(E.shape[:-1] + (m.r,), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(m.s):
-            row = U[i] - np.einsum("...j,...jk->...k", E[..., i, :i], X[..., :i, :])
+            row = U[..., i, :] - np.einsum("...j,...jk->...k", E[..., i, :i], X[..., :i, :])
             np.divide(row, diag[..., i, None], out=X[..., i, :])
         Q = _charpoly(V + W @ X) * det[..., None]
     if not ok.all():
+        U, V = (np.broadcast_to(X, ok.shape + X.shape[-2:])[~ok] for X in (U, V))
         Q[~ok] = _block_charpoly(E[~ok], W[~ok], U, V)
         Q[~ok, 0] = 0.0
     return Q
 
 
-def _ring_charpolys(m: ImexGlmMethod, w, mags: np.ndarray,
-                    th: np.ndarray) -> np.ndarray:
+def _ring_charpolys(m, w, mags: np.ndarray, th: np.ndarray) -> np.ndarray:
     """_pair_charpolys(m, w, _ring_points(mags, th)) from s + 1 samples on
     each ring |what| = rho of mags.
 
@@ -271,7 +288,8 @@ def _ring_charpolys(m: ImexGlmMethod, w, mags: np.ndarray,
     out = np.concatenate([Q[..., :1, :], (interp @ ring).reshape(
         Q.shape[:-2] + (-1, Q.shape[-1]))], axis=-2)
     grid = _ring_points(mags, th)
-    out[..., 0] = (1.0 - grid[:, None] * np.diagonal(m.Ahat)).prod(axis=-1)
+    diag = np.diagonal(m.Ahat, axis1=-2, axis2=-1)
+    out[..., 0] = (1.0 - grid[:, None] * diag).prod(axis=-1)
     return out
 
 
@@ -419,50 +437,69 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     Returns (inside, counts): inside(ws) -> bool[L] decides rho(M) < 1 at
     every stiff grid point for all L values ws in one call.  The explicit
     component is M(w, 0) and the implicit one M(0, z), the matrices of
-    glm_stability_matrix since the pair shares (U, V, c).
-
-    Per stiff point, Q(z; v) = det(E) det(zI - M) has degree <= s in the
-    line variable v, so its coefficients are found here once: the constant
-    term is Q(0) itself, the others come from (Q(v_q) - Q(0)) / v_q at s
-    nodes v_q = R exp(i pi (2q + 1) / s) by one FFT.  The half-step turn
-    keeps the nodes off the positive real axis, where the implicit poles
-    what = 1/lambda lie.  A decision is then one matmul of the powers of v
-    against them and the Schur-Cohn test; a point whose leading
-    coefficient det(E) is 0 is singular and counts as unstable.
-
-    The values Q(v_q) come per ring: on a pair grid with at least
-    _RING_MIN_ANGLES (s + 1) angles per magnitude, from s + 1 samples in
-    what on each ring (_ring_charpolys), otherwise from every grid point
-    (_pair_charpolys).
-
-    A large batch is screened at the hot stiff points first (see
-    _SCREEN_MIN_COEFFS).  counts tallies calls, points decided, singular
-    points and the w that the screen alone decided outside.
+    glm_stability_matrix since the pair shares (U, V, c).  counts tallies
+    calls, points decided, singular points (det(E) = 0, counted unstable)
+    and the w that the screen alone decided outside (_SCREEN_MIN_COEFFS).
     """
+    inside, _, counts = _stability_deciders([(m, alpha, component)], q)[0]
+    return inside, counts
+
+
+def _stability_deciders(regions, q: StabilityQuery) -> list:
+    """(inside, polys, counts) of _decider for each (m, alpha, component)
+    region; regions of one s, r, alpha and component set up together."""
+    groups = {}
+    for i, (m, alpha, component) in enumerate(regions):
+        groups.setdefault((m.s, m.r, alpha, component), []).append(i)
+    out = [None] * len(regions)
+    for (s, r, alpha, component), idx in groups.items():
+        C = _line_coefficients(_stack([regions[i][0] for i in idx]), q, alpha, component)
+        for i, C_i in zip(idx, C):
+            out[i] = _decider(C_i, s, r)
+    return out
+
+
+def _line_coefficients(m: SimpleNamespace, q: StabilityQuery, alpha: float, component: str):
+    """The line coefficients of every pair of the stack m, (G, (r + 1) P,
+    s + 1): row j * P + p, those of z^(r - j) at stiff point p in the line
+    variable v, lowest degree first.  Q(z; v) = det(E) det(zI - M) has
+    degree <= s in v: its constant term is Q(0), the others come from
+    (Q(v_q) - Q(0)) / v_q at the s nodes of _line_nodes by one FFT (nodes
+    turned a half step off the positive real axis, where the implicit
+    poles what = 1/lambda lie).  Q(v_q) comes per ring (_ring_charpolys) on
+    a pair grid with at least _RING_MIN_ANGLES (s + 1) angles per
+    magnitude, else per grid point."""
     if component == "pair":
         mags, th, grid = _layout(q, alpha)
     elif component in ("explicit", "implicit"):
         grid = np.zeros(1, dtype=complex)
     else:
         raise ValueError(f"unknown region component {component!r}")
-    s, r, P = m.s, m.r, grid.size
+    s = m.s
     v, scale = _line_nodes(s)
     if component == "implicit":
-        Q = _pair_charpolys(m, 0.0, v)[:, None]
+        Q = _pair_charpolys(m, 0.0, v).swapaxes(1, 2)
     elif component == "pair" and th.size >= _RING_MIN_ANGLES * (s + 1):
         Q = _ring_charpolys(m, v, mags, th)
     else:
         Q = _pair_charpolys(m, v, grid)
-    # Q: (s + 1, P, r + 1); the line coefficients of degree 1..s from an FFT
-    D = np.fft.fft((Q[1:] - Q[0]) / v[1:, None, None], axis=0)
+    # Q: (G, s + 1, P, r + 1); the line coefficients of degree 1..s from an FFT
+    D = np.fft.fft((Q[:, 1:] - Q[:, :1]) / v[1:, None, None], axis=1)
     D /= scale
-    # coefficient-major layout: row j * P + p holds z^(r - j) at point p
-    C = np.concatenate([Q[:1], D]).transpose(2, 1, 0)
+    C = np.concatenate([Q[:, :1], D], axis=1).transpose(0, 3, 2, 1)
     # a power of two per stiff point brings its largest coefficient into
     # [1/2, 1): exact, and it keeps the Schur-Cohn products, which square
     # the coefficients' magnitude at every step, from overflowing
-    _, e = np.frexp(np.abs(C).max(axis=(0, 2)))
-    C = (C * np.ldexp(1.0, -e)[:, None]).reshape(-1, s + 1)
+    _, e = np.frexp(np.abs(C).max(axis=(1, 3)))
+    return (C * np.ldexp(1.0, -e)[:, None, :, None]).reshape(len(C), -1, s + 1)
+
+
+def _decider(C: np.ndarray, s: int, r: int):
+    """(inside, polys, counts) of one region with line coefficients C:
+    polys(ws) counts a decision and returns the ws's polynomials in z,
+    (r + 1, P, L) for _schur_cohn, or the decisions of a batch that the
+    screen decides; inside(ws) decides them."""
+    P = C.shape[0] // (r + 1)
     counts = {"decisions": 0, "matrices": 0, "singular": 0, "screened": 0}
     # det(E) does not depend on w when A is strictly lower triangular, so on
     # the pair and explicit components every leading row is (det E, 0, ...,
@@ -475,7 +512,7 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
     fails = np.zeros(P, dtype=np.int64)
     hot_rows = C[:0]
 
-    def inside(ws) -> np.ndarray:
+    def polys(ws) -> np.ndarray:
         ws = np.asarray(ws, dtype=complex).ravel()
         L = ws.size
         vt = np.vander(ws, s + 1, increasing=True).T
@@ -488,7 +525,11 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
         a = (C @ vt).reshape(r + 1, P, -1)
         if not flat:
             counts["singular"] += int(np.count_nonzero(a[0] == 0.0))
-        return _schur_cohn(a).all(axis=0)
+        return a
+
+    def inside(ws) -> np.ndarray:
+        a = polys(ws)
+        return a if a.dtype == bool else _schur_cohn(a).all(axis=0)
 
     def screened(vt) -> np.ndarray:
         nonlocal hot_rows
@@ -507,17 +548,51 @@ def _stability_decider(m: ImexGlmMethod, q: StabilityQuery, alpha: float,
             hot_rows = C.reshape(r + 1, P, -1)[:, hot].reshape(-1, s + 1)
         return ok
 
-    return inside, counts
+    return inside, polys, counts
 
 
-def _bisect_lines(inside, xs: np.ndarray, q: StabilityQuery):
-    """boundary_intersection for every x of xs, one decision per level
-    over the lines still active.  Returns (y_bot, x inside) per line.
+def _lockstep(searches, deciders) -> list:
+    """Run the searches to their ends, in rounds, and return their results.
+
+    A search is a generator: it yields a batch of w, is sent back their
+    decisions (bool[L]) and returns its result.  deciders[i] maps search
+    i's batch to its decisions or, as _decider's polys, to its polynomials
+    in z; each round runs one _schur_cohn per degree over all of those,
+    whose steps are elementwise, so each decision is the region's own."""
+    results = [None] * len(searches)
+    decided = dict.fromkeys(range(len(searches)))
+    while decided:
+        sent, decided, stacks = decided, {}, {}
+        for i, ok in sent.items():
+            try:
+                ws = searches[i].send(ok)
+            except StopIteration as stop:
+                results[i] = stop.value
+                continue
+            a = decided[i] = deciders[i](ws)
+            if a.dtype != bool:
+                stacks.setdefault(len(a), []).append((i, a))
+        for group in stacks.values():
+            parts = [a.reshape(len(a), -1) for _, a in group]
+            stable = _schur_cohn(parts[0] if len(parts) == 1
+                                 else np.concatenate(parts, axis=1))
+            start = 0
+            for i, a in group:
+                ok = stable[start:start + a[0].size]
+                start += ok.size
+                decided[i] = ok.reshape(a.shape[1:]).all(axis=0)
+    return results
+
+
+def _bisect_lines(xs: np.ndarray, q: StabilityQuery):
+    """Search (see _lockstep) for boundary_intersection on every x of xs,
+    one decision per level over the lines still active.  Returns (y_bot,
+    x inside) per line.
 
     The active lines' x and brackets are kept as compact arrays in
     ascending line order; a line's y_bot is written back when its bracket
     closes."""
-    start = inside(xs.astype(complex))
+    start = yield xs.astype(complex)
     ys = np.zeros_like(xs)
     if not q.y_top > q.tol:
         return ys, start
@@ -527,7 +602,7 @@ def _bisect_lines(inside, xs: np.ndarray, q: StabilityQuery):
     top = np.full_like(x, q.y_top)
     while idx.size:
         mid = 0.5 * (bot + top)
-        ok = inside(x + 1j * mid)
+        ok = yield x + 1j * mid
         bot = np.where(ok, mid, bot)
         top = np.where(ok, top, mid)
         live = top - bot > q.tol
@@ -555,7 +630,7 @@ def boundary_intersection(m: ImexGlmMethod, x: float,
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
     inside, _ = _stability_decider(m, q, alpha, component)
-    ys, start = _bisect_lines(inside, np.array([float(x)]), q)
+    ys, start = _lockstep([_bisect_lines(np.array([float(x)]), q)], [inside])[0]
     return Intersection(float(ys[0]), bool(start[0]))
 
 
@@ -599,8 +674,9 @@ class AreaResult:
 _CROSSING_DEPTH = 3
 
 
-def _leftmost_crossing(inside, tol: float, x_cap: float):
-    """Leftmost real-axis point of the region, bisected to tol.
+def _leftmost_crossing(tol: float, x_cap: float):
+    """Search for the leftmost real-axis point of the region, bisected to
+    tol.
 
     Returns (x_b, unbounded) or None when no inside seed exists near the
     origin (empty region).  The origin itself sits on the boundary for any
@@ -620,7 +696,7 @@ def _leftmost_crossing(inside, tol: float, x_cap: float):
         x *= 2.0
     if not ladder:
         return None
-    ok = inside(ladder)
+    ok = yield ladder
     seeds = np.flatnonzero(ok[::2])
     if not seeds.size:
         return None
@@ -643,12 +719,24 @@ def _leftmost_crossing(inside, tol: float, x_cap: float):
             hi, lo = brackets[n]
             mids[n] = 0.5 * (hi + lo)
             brackets += [(mids[n], lo), (hi, mids[n])]
-        ok = dict(zip(mids, inside(list(mids.values()))))
+        ok = dict(zip(mids, (yield list(mids.values()))))
         n = 0
         while n in ok:
             n = 2 * n + (1 if ok[n] else 2)
         a, b = brackets[n]
     return a, False
+
+
+def _region_search(q: StabilityQuery, alpha: float, component: str, counts: dict):
+    """Search for a region's RegionBoundary: the leftmost real-axis
+    crossing, then the n_lines ordinates in [x_b, 0]."""
+    found = yield from _leftmost_crossing(q.tol, 4.0 * q.y_top)
+    if found is None:
+        return RegionBoundary(np.array([0.0]), np.array([0.0]), 0.0, alpha,
+                              component, False, counts)
+    xs = np.linspace(found[0], 0.0, q.n_lines)
+    ys, _ = yield from _bisect_lines(xs, q)
+    return RegionBoundary(xs, ys, found[0], alpha, component, found[1], counts)
 
 
 def region_boundary_points(m: ImexGlmMethod,
@@ -659,14 +747,14 @@ def region_boundary_points(m: ImexGlmMethod,
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
     inside, counts = _stability_decider(m, q, alpha, component)
-    found = _leftmost_crossing(inside, q.tol, x_cap=4.0 * q.y_top)
-    if found is None:
-        return RegionBoundary(np.array([0.0]), np.array([0.0]), 0.0, alpha,
-                              component, unbounded=False, counts=counts)
-    x_b, unbounded = found
-    xs = np.linspace(x_b, 0.0, q.n_lines)
-    ys, _ = _bisect_lines(inside, xs, q)
-    return RegionBoundary(xs, ys, x_b, alpha, component, unbounded, counts)
+    return _lockstep([_region_search(q, alpha, component, counts)], [inside])[0]
+
+
+def _area(b: RegionBoundary, q: StabilityQuery) -> AreaResult:
+    empty = b.xs.size == 1 or b.x_b >= -q.tol
+    upper = 0.0 if empty else float(np.trapezoid(b.ys, b.xs))
+    return AreaResult(2.0 * upper, upper, b.x_b, b.alpha, b.component,
+                      flagged_empty=empty, unbounded=b.unbounded, **b.counts)
 
 
 def constrained_region_area(m: ImexGlmMethod,
@@ -680,17 +768,27 @@ def constrained_region_area(m: ImexGlmMethod,
     real-axis crossing x_b and the origin; the upper-half trapezoid sum is
     reported alongside its doubling (conjugation symmetry).  workers is
     accepted for old callers and ignored: the lines are bisected in
-    lockstep on one thread.
+    lockstep on one thread.  This is the one-region case of
+    constrained_region_areas.
     """
     q = q or StabilityQuery()
-    alpha = q.alpha if alpha is None else alpha
     boundary = region_boundary_points(m, q, alpha, component)
-    empty = boundary.xs.size == 1 or boundary.x_b >= -q.tol
-    upper = 0.0 if empty else float(np.trapezoid(boundary.ys, boundary.xs))
-    res = AreaResult(2.0 * upper, upper, boundary.x_b, alpha,
-                     component, flagged_empty=empty,
-                     unbounded=boundary.unbounded, **boundary.counts)
-    return res, boundary
+    return _area(boundary, q), boundary
+
+
+def constrained_region_areas(regions, q: StabilityQuery | None = None) -> list:
+    """constrained_region_area of every (m, alpha, component) region of
+    regions (alpha None for q.alpha), bitwise, counts included: the regions
+    are traced in lockstep, a round of decisions over every live search."""
+    q = q or StabilityQuery()
+    regions = [(m, q.alpha if alpha is None else alpha, component)
+               for m, alpha, component in regions]
+    deciders = _stability_deciders(regions, q)
+    boundaries = _lockstep(
+        [_region_search(q, alpha, component, counts)
+         for (_, alpha, component), (_, _, counts) in zip(regions, deciders)],
+        [polys for _, polys, _ in deciders])
+    return [(_area(b, q), b) for b in boundaries]
 
 
 # ---------------------------------------------------------------------------
@@ -869,9 +967,12 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     point already scored) is scored once: the repeat reuses its area and
     counts, but still counts against the budget, adds its counts to the
     totals again and appends to best_area_trace, so the result is the one
-    re-scoring would give.
+    re-scoring would give.  Independent candidates are scored ahead,
+    together, within the budget (see the module docstring).
     """
     from scipy.optimize import differential_evolution, minimize
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     q = q or StabilityQuery()
     alpha = q.alpha if alpha is None else alpha
     c = np.asarray(c, dtype=float)
@@ -898,13 +999,25 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
     trace = []
     scored = {}     # candidate key -> (area, its AreaResult counts)
 
+    def entry(res: AreaResult):
+        return 0.0 if res.flagged_empty else res.area, {k: getattr(res, k) for k in counts}
+
     def score(params: np.ndarray):
         try:
-            res, _ = constrained_region_area(build(params), q, alpha)
+            return entry(constrained_region_area(build(params), q, alpha)[0])
         except (np.linalg.LinAlgError, SingularStabilityError):
             return 0.0, {}
-        return (0.0 if res.flagged_empty else res.area,
-                {key: getattr(res, key) for key in counts})
+
+    def score_ahead(batch):
+        """Score the unscored candidates among the next ones area_of meets
+        (batch, in order, as far as the budget reaches) together."""
+        keys = [_candidate_key(params) for params in batch[:budget - state["n"]]]
+        fresh = {key: p for key, p in zip(keys, batch) if key not in scored}
+        try:
+            got = constrained_region_areas([(build(p), alpha, "pair") for p in fresh.values()], q)
+        except (np.linalg.LinAlgError, SingularStabilityError):
+            return      # area_of scores each of them alone
+        scored.update(zip(fresh, (entry(res) for res, _ in got)))
 
     def area_of(params: np.ndarray) -> float:
         if state["n"] >= budget:
@@ -922,29 +1035,35 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         trace.append(state["best_area"])
         return a
 
-    seed_area = None
-    start_pool = []
-    if seed_matrix is not None:
-        seed_params = np.asarray(seed_matrix, dtype=float)[lower]
-        seed_area = area_of(seed_params)
-        start_pool.append((seed_area, seed_params))
-
     rng = np.random.default_rng(rng_seed)
+    seed_area = None
+    if seed_matrix is not None:
+        # the seed, then random probes around it (drawn here, scored with it)
+        seed_params = np.asarray(seed_matrix, dtype=float)[lower]
+        n_probe = min(max(budget // 5, 1), budget - 1) if n_free > 0 else 0
+        pool = [seed_params] + [rng.normal(0.0, 1.5, size=n_free)
+                                for _ in range(n_probe)]
+        score_ahead(pool)
+        start_pool = [(area_of(params), params) for params in pool]
+        seed_area = start_pool[0][0]
 
     def polish(params, maxfev):
+        # scipy's default starting simplex, built here to score it ahead
+        simplex = np.tile(params, (n_free + 1, 1))
+        np.fill_diagonal(simplex[1:], np.where(params != 0, 1.05 * params, 0.00025))
+        score_ahead(simplex)
         minimize(
             lambda p: -area_of(p), params, method="Nelder-Mead",
-            options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-5},
+            options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-5,
+                     "initial_simplex": simplex},
         )
+
+    def generation(population):
+        score_ahead(population.T)
+        return [-area_of(params) for params in population.T]
 
     if n_free > 0 and seed_matrix is not None:
         # local improvement around the seed: probe, polish, basin-hop
-        n_probe = min(max(budget // 5, 1), max(budget - state["n"], 0))
-        for _ in range(n_probe):
-            if state["n"] >= budget:
-                break
-            params = rng.normal(0.0, 1.5, size=n_free)
-            start_pool.append((area_of(params), params))
         start_pool.sort(key=lambda t: -t[0])
         for _, params in [t for t in start_pool[:3] if t[0] > 0.0]:
             remaining = budget - state["n"]
@@ -964,10 +1083,10 @@ def optimize_explicit_component(implicit: GlmTableau, c, v,
         de_budget = max(int(budget * 0.8), 8 * n_free)
         generations = max(1, de_budget // (8 * n_free) - 1)
         differential_evolution(
-            lambda p: -area_of(p), bounds=[(-3.5, 3.5)] * n_free,
+            generation, bounds=[(-3.5, 3.5)] * n_free,
             seed=rng_seed, popsize=8, maxiter=generations, tol=1e-8,
             mutation=(0.3, 1.2), recombination=0.8, init="sobol",
-            polish=False, updating="deferred")
+            polish=False, updating="deferred", vectorized=True)
         hop = 0
         while budget - state["n"] >= 3 * n_free and state["best_params"] is not None:
             step = (0.0 if hop == 0

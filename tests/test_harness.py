@@ -466,6 +466,15 @@ class TestCli:
         assert len(trace) == payload["n_evaluations"]
         assert trace[0] == payload["seed_area"] and trace[-1] == payload["area"]
 
+    def test_optimize_refuses_a_budget_below_one(self, capsys):
+        # a budget that scores nothing is refused, not reported as a
+        # seed_area of 0.0 for a seed never scored
+        rc = cli_main(["optimize-explicit", "--method", "dimsim4",
+                       "--budget", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "budget must be at least 1" in captured.err
+
     # the options each subcommand reads, beyond --method
     READS = {
         "validate-method": set(),

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from imexglm.stability import (DEFAULT_STIFF_MAGNITUDES,
                                SingularStabilityError, StabilityQuery,
                                _block_charpoly, _charpoly, _leftmost_crossing,
-                               _NODE_RADIUS, _pair_blocks,
+                               _line_coefficients, _lockstep, _NODE_RADIUS,
+                               _pair_blocks, _stack,
                                _pair_charpolys, _pair_matrices_batch,
                                _ring_charpolys, _ring_points,
                                _schur_cohn,
                                _stability_decider, boundary_intersection,
                                check_irks,
                                check_L_stability, constrained_region_area,
+                               constrained_region_areas,
                                glm_stability_matrix, imex_stability_matrix,
                                max_rho_over_stiff_grid,
                                optimize_explicit_component,
@@ -28,6 +30,8 @@ from imexglm.tableau import imex_dimsim
 
 PARENT = json.loads((Path(__file__).parent / "data"
                      / "stability_parent.json").read_text())
+DE_PARENT = json.loads((Path(__file__).parent / "data"
+                        / "optimizer_de_parent.json").read_text())
 
 
 def euler_oracle(w, what):
@@ -768,17 +772,18 @@ class TestSingularCountRule:
             assert counts["singular"] == 87
 
 
-def scattering_bisect_lines(inside, xs, q):
+def scattering_bisect_lines(xs, q):
     """_bisect_lines as it was before the compact arrays: full-length bot,
-    top and active arrays, gathered and scattered at every level."""
-    start = inside(xs.astype(complex))
+    top and active arrays, gathered and scattered at every level.  A search
+    generator, as _bisect_lines is."""
+    start = yield xs.astype(complex)
     bot = np.zeros_like(xs)
     top = np.full_like(xs, q.y_top)
     active = start & (top - bot > q.tol)
     while active.any():
         idx = np.flatnonzero(active)
         mid = 0.5 * (bot[idx] + top[idx])
-        ok = inside(xs[idx] + 1j * mid)
+        ok = yield xs[idx] + 1j * mid
         bot[idx[ok]] = mid[ok]
         top[idx[~ok]] = mid[~ok]
         active[idx] = top[idx] - bot[idx] > q.tol
@@ -801,7 +806,7 @@ def traced_area(m, q, bisect):
         return record, counts
 
     def logged(*args):
-        ys, start = bisect(*args)
+        ys, start = yield from bisect(*args)
         lines.append((ys.tobytes(), start.tolist()))
         return ys, start
 
@@ -1086,7 +1091,7 @@ def crossings(m, q, component):
     """The batched and the serial crossing search on one decider, and the
     decider."""
     inside, _ = _stability_decider(m, q, q.alpha, component)
-    return (_leftmost_crossing(inside, q.tol, 4.0 * q.y_top),
+    return (_lockstep([_leftmost_crossing(q.tol, 4.0 * q.y_top)], [inside])[0],
             serial_crossing(inside, q.tol, 4.0 * q.y_top), inside)
 
 
@@ -1227,20 +1232,33 @@ def optimizer_record(out):
 
 
 def spied_optimizer(dimsim4, q, rng_seed, budget=100):
-    """optimize_explicit_component seeded at dimsim4's A, and the bytes of
-    the strictly lower A of every pair whose area it computed."""
-    scored, real = [], stability.constrained_region_area
+    """optimize_explicit_component seeded at dimsim4's A, the bytes of the
+    strictly lower A of every pair whose area it computed, through either
+    area entry point, and of those it computed alone, through
+    constrained_region_area."""
+    scored, alone = [], []
+    real, real_many = (stability.constrained_region_area,
+                       stability.constrained_region_areas)
+
+    def key(m):
+        return m.A[np.tril_indices(m.s, k=-1)].tobytes()
 
     def spy(m, *args, **kwargs):
-        scored.append(m.A[np.tril_indices(m.s, k=-1)].tobytes())
+        scored.append(key(m))
+        alone.append(key(m))
         return real(m, *args, **kwargs)
+
+    def spy_many(regions, *args, **kwargs):
+        scored.extend(key(m) for m, _, _ in regions)
+        return real_many(regions, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stability, "constrained_region_area", spy)
+        mp.setattr(stability, "constrained_region_areas", spy_many)
         out = optimize_explicit_component(
             dimsim4.implicit, dimsim4.c, dimsim4.v, q=q, budget=budget,
             seed_matrix=np.asarray(dimsim4.A), rng_seed=rng_seed)
-    return out, scored
+    return out, scored, alone
 
 
 class TestRepeatMemo:
@@ -1252,8 +1270,8 @@ class TestRepeatMemo:
         # each of the 3 Nelder-Mead polishes starts at a start-pool point
         # already scored: 93 evaluations of 90 distinct candidates
         rec = PARENT["optimizer"]
-        out, scored = spied_optimizer(dimsim4, coarse_query, rec["rng_seed"],
-                                      rec["budget"])
+        out, scored, _ = spied_optimizer(dimsim4, coarse_query,
+                                         rec["rng_seed"], rec["budget"])
         assert len(scored) == len(set(scored)) == 90
         assert out.n_evaluations == rec["n_evaluations"] == 93
         assert out.method.A[np.tril_indices(4, k=-1)].tolist() == rec["A_strictly_lower"]
@@ -1266,15 +1284,153 @@ class TestRepeatMemo:
     @pytest.mark.parametrize("rng_seed", [0, 1, 2])
     def test_matches_a_run_without_the_memo(self, dimsim4, coarse_query,
                                             rng_seed, monkeypatch):
-        out, scored = spied_optimizer(dimsim4, coarse_query, rng_seed)
+        out, scored, _ = spied_optimizer(dimsim4, coarse_query, rng_seed)
         # a key that never repeats defeats the memo: every evaluation is
-        # scored
+        # scored alone, and the candidates scored ahead are never read
         monkeypatch.setattr(stability, "_candidate_key", lambda p: object())
-        again, rescored = spied_optimizer(dimsim4, coarse_query, rng_seed)
-        assert len(rescored) == again.n_evaluations == out.n_evaluations
+        again, rescored, alone = spied_optimizer(dimsim4, coarse_query,
+                                                 rng_seed)
+        assert len(alone) == again.n_evaluations == out.n_evaluations
         assert len(scored) == len(set(scored)) < len(rescored)
         assert set(scored) == set(rescored)
         assert optimizer_record(out) == optimizer_record(again)
+
+
+def assert_lockstep_matches_alone(regions, q):
+    """constrained_region_areas against constrained_region_area region by
+    region, bitwise: every AreaResult field (counts included, by repr) and
+    the boundary's abscissae and ordinates.  Returns the lockstep results."""
+    got = constrained_region_areas(regions, q)
+    assert len(got) == len(regions)
+    for (m, alpha, component), (res, b) in zip(regions, got):
+        want, b_want = constrained_region_area(m, q, alpha, component)
+        assert repr(res) == repr(want)
+        assert b.xs.tobytes() == b_want.xs.tobytes()
+        assert b.ys.tobytes() == b_want.ys.tobytes()
+        assert (b.x_b, b.unbounded, b.counts) == (b_want.x_b, b_want.unbounded,
+                                                  b_want.counts)
+    return got
+
+
+def probe_pairs(dimsim4, n, seed=3):
+    """dimsim4's implicit part under n random explicit parts of the
+    optimizer's probe spread."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(n):
+        A = np.zeros((4, 4))
+        A[np.tril_indices(4, k=-1)] = rng.normal(0.0, 1.5, size=6)
+        pairs.append(imex_dimsim(f"probe-{k}", dimsim4.c, A,
+                                 np.asarray(dimsim4.Ahat), dimsim4.v))
+    return pairs
+
+
+class TestLockstepRegions:
+    """Regions traced in lockstep are bitwise the regions traced alone."""
+
+    def test_probe_phase_of_the_recorded_run(self, dimsim4, coarse_query,
+                                             monkeypatch):
+        rec = PARENT["optimizer"]
+        calls, real = [], stability.constrained_region_areas
+
+        def spy(regions, q):
+            calls.append((regions, q))
+            return real(regions, q)
+
+        monkeypatch.setattr(stability, "constrained_region_areas", spy)
+        optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
+            budget=rec["budget"], seed_matrix=np.asarray(dimsim4.A),
+            rng_seed=rec["rng_seed"])
+        # the seed and its budget // 5 probes, scored together first
+        regions, q = calls[0]
+        assert len(regions) == 21 and q is coarse_query
+        assert np.array_equal(regions[0][0].A, dimsim4.A)
+        n_schur_cohn, schur_cohn = [0], stability._schur_cohn
+
+        def counted(a):
+            n_schur_cohn[0] += 1
+            return schur_cohn(a)
+
+        monkeypatch.setattr(stability, "_schur_cohn", counted)
+        got = assert_lockstep_matches_alone(regions, q)
+        lockstep_calls = n_schur_cohn[0] - sum(res.decisions for res, _ in got)
+        # one Schur-Cohn test per round: as many as the longest search's
+        # decisions (none is screened on the coarse query)
+        assert lockstep_calls == max(res.decisions for res, _ in got)
+        assert all(res.screened == 0 for res, _ in got)
+
+    def test_mixed_degrees_on_the_default_query(self):
+        # r = 4, 5 and 1: three degrees, and the dimsim pairs' line
+        # batches are screened
+        regions = [(resolve_method(name), None, "pair")
+                   for name in ("dimsim4", "dimsim5", "ark4")]
+        got = assert_lockstep_matches_alone(regions, StabilityQuery())
+        assert [res.screened > 0 for res, _ in got] == [True, True, False]
+
+    def test_components_and_sector_angles_in_one_call(self, dimsim4, dimsim5,
+                                                      coarse_query):
+        for q in (StabilityQuery(), coarse_query):
+            regions = [(m, alpha, component) for m in (dimsim4, dimsim5)
+                       for alpha, component in (
+                           (None, "explicit"), (None, "implicit"),
+                           (math.pi / 2, "pair"), (math.pi / 3, "pair"))]
+            got = assert_lockstep_matches_alone(regions, q)
+            assert got[1][0].unbounded and not got[2][0].unbounded
+
+    def test_shared_setups_and_empty_regions(self, dimsim4, coarse_query):
+        # pairs of one s and r set up as one stack: on the rings (default
+        # query) and per point (coarse query); the one-stage toys end at
+        # once (empty, singular point), early, or unbounded
+        pairs = [dimsim4] + probe_pairs(dimsim4, 3)
+        for q in (StabilityQuery(), coarse_query):
+            assert_lockstep_matches_alone(
+                [(m, None, "pair") for m in pairs], q)
+        toys = [singular_toy(), shifted_toy(), resolve_method("imex-euler")]
+        got = assert_lockstep_matches_alone(
+            [(m, None, component) for m in toys
+             for component in ("pair", "explicit", "implicit")], coarse_query)
+        assert got[0][0].flagged_empty and got[0][0].singular == 13
+        assert abs(got[4][0].x_b + 5.0) < coarse_query.tol
+        assert got[8][0].unbounded
+
+    @pytest.mark.parametrize("query", ["default", "coarse", "three"])
+    def test_stacked_setup_is_bitwise_per_pair(self, dimsim4, query,
+                                               coarse_query):
+        # three angles keep the one-stage toys on the per-point path, with
+        # the singular point what = -1 in the singular toy only
+        q = {"default": StabilityQuery(), "coarse": coarse_query,
+             "three": StabilityQuery(stiff_magnitudes=(0.0, 1.0),
+                                     n_angles=3)}[query]
+        for pairs in ([dimsim4] + probe_pairs(dimsim4, 2),
+                      [singular_toy(), shifted_toy()]):
+            stacked = _line_coefficients(_stack(pairs), q, q.alpha, "pair")
+            for m, C in zip(pairs, stacked):
+                v = line_nodes(m)
+                rings = q.rings()[1].size >= stability._RING_MIN_ANGLES * (m.s + 1)
+                Q = (_ring_charpolys(m, v, *q.rings()) if rings
+                     else _pair_charpolys(m, v, q.stiff_grid()))
+                assert C.tobytes() == line_coefficients(m, Q).tobytes()
+        if query == "three":
+            P = q.stiff_grid().size
+            assert [(C[:P, 0] == 0.0).sum() for C in stacked] == [1, 0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_schur_cohn_of_a_concatenation(self, n):
+        # degrees 1 to 5; stacks of several widths and scales laid side by
+        # side decide as each does alone
+        rng = np.random.default_rng(40 + n)
+        stacks = [random_stack(rng, n, P, L, scale) for P, L, scale in (
+            (28, 13, 1.0), (28, 7, 1e-3), (1, 30, 1e90), (232, 1, 1.0),
+            (9, 12, 1e-3), (9, 12, 1e90))]
+        stacks[0][0, :5] = 0.0
+        stacks[3][-1, :50] = stacks[3][0, :50].conj()
+        parts = [a.reshape(n, -1) for a in stacks]
+        got = _schur_cohn(np.concatenate(parts, axis=1))
+        ends = np.cumsum([part.shape[1] for part in parts])
+        for a, piece in zip(stacks, np.split(got, ends[:-1])):
+            assert np.array_equal(piece.reshape(a.shape[1:]),
+                                  _schur_cohn(a.copy()))
 
 
 class TestOptimizer:
@@ -1309,6 +1465,54 @@ class TestOptimizer:
         assert out.failed
         assert out.area == 0.0
         assert out.n_evaluations <= 3
+
+    def test_random_start_matches_recorded_parent(self, dimsim4,
+                                                  coarse_query):
+        # differential evolution scores each generation together
+        rec = DE_PARENT
+        out = optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
+            budget=rec["budget"], rng_seed=rec["rng_seed"])
+        got = {"A_strictly_lower": out.method.A[np.tril_indices(4, k=-1)].tolist(),
+               "B": out.method.B.tolist(), "area": out.area,
+               "seed_area": out.seed_area, "n_evaluations": out.n_evaluations,
+               "failed": out.failed, "decisions": out.decisions,
+               "matrices": out.matrices, "singular": out.singular,
+               "screened": out.screened,
+               "best_area_trace": out.best_area_trace}
+        assert got == {k: rec[k] for k in got}
+
+    def test_nothing_is_scored_past_the_budget(self, dimsim4, coarse_query,
+                                               monkeypatch):
+        # the initial population of 48 and the next generation of 48 meet
+        # a budget of 60, so 36 of that generation are never evaluated
+        scored = []
+        real, real_many = (stability.constrained_region_area,
+                           stability.constrained_region_areas)
+
+        def spy(m, *args):
+            scored.append(m.A.tobytes())
+            return real(m, *args)
+
+        def spy_many(regions, q):
+            scored.extend(m.A.tobytes() for m, _, _ in regions)
+            return real_many(regions, q)
+
+        monkeypatch.setattr(stability, "constrained_region_area", spy)
+        monkeypatch.setattr(stability, "constrained_region_areas", spy_many)
+        out = optimize_explicit_component(
+            dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
+            budget=60, rng_seed=1)
+        assert out.n_evaluations == 60
+        assert len(scored) == len(set(scored)) <= 60
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, dimsim4, coarse_query, budget):
+        for seed_matrix in (np.asarray(dimsim4.A), None):
+            with pytest.raises(ValueError, match="budget must be at least 1"):
+                optimize_explicit_component(
+                    dimsim4.implicit, dimsim4.c, dimsim4.v, q=coarse_query,
+                    budget=budget, seed_matrix=seed_matrix)
 
     def test_random_start_is_deterministic(self):
         c = np.array([0.0, 1.0])
